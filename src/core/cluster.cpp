@@ -143,6 +143,7 @@ void Cluster::build_topology() {
 }
 
 void Cluster::build_nodes() {
+  const std::uint64_t db_pages = db_->total_data_pages();
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int d = server_domain(i);
     sim::Engine& eng = domain_engine(d);
@@ -150,7 +151,7 @@ void Cluster::build_nodes() {
     std::uint64_t* clock =
         shards_ ? &node_scn_[static_cast<std::size_t>(i)] : &global_clock_;
     nodes_.push_back(std::make_unique<Node>(eng, cfg_, i, topo_->server_nic(i),
-                                            *db_, clock, rngs_));
+                                            *db_, db_pages, clock, rngs_));
   }
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int d = server_domain(i);

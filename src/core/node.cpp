@@ -16,8 +16,8 @@ net::CpuCharge make_charge(cpu::Processor* proc) {
 }  // namespace
 
 Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
-           db::TpccDatabase& db, std::uint64_t* global_clock,
-           const sim::RngFactory& rngs)
+           db::TpccDatabase& db, std::uint64_t db_pages,
+           std::uint64_t* global_clock, const sim::RngFactory& rngs)
     : engine_(engine),
       cfg_(cfg),
       id_(id),
@@ -72,8 +72,7 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
 
   // --- database services ------------------------------------------------------
   const auto capacity = static_cast<std::size_t>(
-      std::max<double>(64.0, cfg.buffer_fraction *
-                                 static_cast<double>(db.total_data_pages())));
+      std::max<double>(64.0, cfg.buffer_fraction * static_cast<double>(db_pages)));
   cache_ = std::make_unique<db::BufferCache>(capacity);
   directory_ = std::make_unique<cluster::DirectoryService>();
   locks_ = std::make_unique<db::LockManager>(engine);

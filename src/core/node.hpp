@@ -36,9 +36,12 @@ namespace dclue::core {
 
 class Node {
  public:
+  /// \p db_pages is `db.total_data_pages()`, which sizes the buffer cache.
+  /// The caller counts it once per database: every node shares one count,
+  /// and counting walks every index.
   Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
-       db::TpccDatabase& db, std::uint64_t* global_clock,
-       const sim::RngFactory& rngs);
+       db::TpccDatabase& db, std::uint64_t db_pages,
+       std::uint64_t* global_clock, const sim::RngFactory& rngs);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 

@@ -10,6 +10,10 @@
 /// residency — both are maintained incrementally (split/unlink/collapse),
 /// not recomputed by walking the structure.
 ///
+/// The inner nodes are the only router: lookups, inserts and erases all
+/// descend them with the same upper-bound search, so no second structure
+/// has to agree with the tree on which leaf owns a key range.
+///
 /// Nodes come from a per-tree pool (std::deque slabs + free list): churny
 /// workloads (new-order insert / delivery erase) recycle nodes instead of
 /// round-tripping the allocator, and teardown is one deque destruction
@@ -38,9 +42,6 @@ class BTree {
   BTree() {
     root_ = alloc_node(/*leaf=*/true);
     first_leaf_ = root_;
-    dir_keys_.push_back(Key{});  // sentinel: leaf 0 has no left separator
-    dir_leaves_.push_back(root_);
-    rebuild_dir_et();
   }
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -95,7 +96,7 @@ class BTree {
     }
     --n->count;
     --size_;
-    if (n->count == 0 && n != root_) retire(n, key, path, slot, depth);
+    if (n->count == 0 && n != root_) retire(n, path, slot, depth);
     return true;
   }
 
@@ -216,22 +217,8 @@ class BTree {
   /// Detach the emptied leaf at the bottom of \p path from its parent,
   /// cascading upward while parents run out of children; collapse
   /// single-child inner roots afterwards.
-  void retire(Node* n, Key key, const std::array<Node*, kMaxDepth>& path,
+  void retire(Node* n, const std::array<Node*, kMaxDepth>& path,
               const std::array<int, kMaxDepth>& slot, int depth) {
-    // The parent fixup below hands the retired leaf's (empty) key range to a
-    // neighbour: to the LEFT subtree when the surviving ancestor drops an
-    // interior separator (i > 0), to the RIGHT when the retired subtree was
-    // child 0 and keys[0] is dropped instead. The directory must merge the
-    // range the SAME way — inserts route by tree descent but lookups route
-    // by directory, and a later insert into a range the two structures
-    // assign to different leaves would be invisible to find/lower_bound.
-    bool merge_right = true;  // leftmost leaf: no left neighbour exists
-    for (int d = depth - 1; d >= 0; --d) {
-      if (path[d]->count == 0) continue;  // will be freed by the cascade
-      merge_right = slot[d] == 0;
-      break;
-    }
-    dir_erase_leaf(n, key, merge_right);
     // Unlink from the leaf chain.
     if (n->prev != nullptr) n->prev->next = n->next;
     if (n->next != nullptr) n->next->prev = n->prev;
@@ -305,46 +292,15 @@ class BTree {
     return static_cast<int>(base - n->keys.data()) + last;
   }
 
-  /// Directory position of the leaf whose key range covers \p key: the
-  /// number of separators <= key (branchless, like the in-node searches).
-  [[nodiscard]] std::size_t leaf_index_for(Key key) const {
-    const Key* base = dir_keys_.data() + 1;
-    std::size_t len = dir_leaves_.size() - 1;
-    while (len > 1) {
-      const std::size_t half = len >> 1;
-      base += base[half - 1] <= key ? half : 0;
-      len -= half;
-    }
-    std::size_t idx = static_cast<std::size_t>(base - (dir_keys_.data() + 1));
-    if (len == 1 && base[0] <= key) ++idx;
-    return idx;
-  }
-
+  /// The leaf whose key range covers \p key, by the descent insert and
+  /// erase take.
   [[nodiscard]] const Node* leaf_for(Key key) const {
-    // Walk the same separator set laid out in BFS (eytzinger) order: the
-    // children of slot k live at 2k / 2k+1, so the four grandchildren of
-    // the current compare sit in at most two adjacent lines that one
-    // prefetch pair covers. Every level is L1-resident by the time the
-    // walk reaches it — a sorted-array bisection cannot be prefetched this
-    // way because its next probe address depends on the compare before it.
-    // Going right means "separator <= key": the last slot that sends the
-    // walk right is the largest separator <= key, whose paired leaf covers
-    // the key's range (dir_leaves_[0] when no separator qualifies).
-    const DirEnt* et = et_.data();
-    const std::size_t m = et_.size() - 1;
-    const Node* cand = dir_leaves_[0];
-    std::size_t k = 1;
-    while (k <= m) {
-#if defined(__GNUC__)
-      __builtin_prefetch(et + 4 * k);
-      __builtin_prefetch(et + 4 * k + 2);
-#endif
-      const bool right = et[k].sep <= key;
-      cand = right ? et[k].leaf : cand;
-      k = 2 * k + (right ? 1 : 0);
+    const Node* n = root_;
+    while (!n->leaf) {
+      n = n->kids()[upper_bound_in(n, key)];
+      prefetch_node(n);
     }
-    prefetch_node(cand);
-    return cand;
+    return n;
   }
 
   /// Count of keys <= \p key == index of the first key > it.
@@ -391,7 +347,6 @@ class BTree {
       parent->keys[i] = right->keys[0];
       parent->kids()[i + 1] = right;
       ++parent->count;
-      dir_insert_leaf(right);
     } else {
       // Inner split: median moves up.
       right->count = child->count - mid - 1;
@@ -440,74 +395,9 @@ class BTree {
     ++size_;
   }
 
-  /// Record the new leaf \p right in the directory, just after its left
-  /// sibling; the separator is right's first key, exactly as recorded in the
-  /// parent by split_child.
-  void dir_insert_leaf(Node* right) {
-    const std::size_t idx = leaf_index_for(right->keys[0]);
-    dir_keys_.insert(dir_keys_.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
-                     right->keys[0]);
-    dir_leaves_.insert(
-        dir_leaves_.begin() + static_cast<std::ptrdiff_t>(idx) + 1, right);
-    rebuild_dir_et();
-  }
-
-  /// Drop retired leaf \p n (which \p key routed to) from the directory.
-  /// The dead range merges into the left neighbour (drop the leaf's left
-  /// separator) or the right one (drop its right separator), matching the
-  /// direction the tree's parent fixup chose — see retire(). The range holds
-  /// no keys, but future inserts into it follow the tree, so both routers
-  /// must agree on which neighbour owns it.
-  void dir_erase_leaf(const Node* n, Key key, bool merge_right) {
-    const std::size_t idx = leaf_index_for(key);
-    assert(dir_leaves_[idx] == n);
-    (void)n;
-    // idx == 0 drops the sentinel slot, which also merges right; the last
-    // leaf has no right separator and must merge left.
-    const std::size_t key_at =
-        merge_right && idx + 1 < dir_keys_.size() ? idx + 1 : idx;
-    dir_keys_.erase(dir_keys_.begin() + static_cast<std::ptrdiff_t>(key_at));
-    dir_leaves_.erase(dir_leaves_.begin() + static_cast<std::ptrdiff_t>(idx));
-    rebuild_dir_et();
-  }
-
-  /// Re-derive the eytzinger mirror after a directory change. O(leaves),
-  /// like the vector insert/erase that precedes it; an in-order walk of the
-  /// implicit BST visits slots in ascending separator order, so filling
-  /// during that walk places sorted entry i at its BFS position.
-  void rebuild_dir_et() {
-    const std::size_t m = dir_leaves_.size() - 1;
-    et_.resize(m + 1);
-    std::size_t src = 1;
-    fill_dir_et(1, m, src);
-  }
-  void fill_dir_et(std::size_t k, std::size_t m, std::size_t& src) {
-    if (k > m) return;
-    fill_dir_et(2 * k, m, src);
-    et_[k] = DirEnt{dir_keys_[src], dir_leaves_[src]};
-    ++src;
-    fill_dir_et(2 * k + 1, m, src);
-  }
-
   std::deque<Node> pool_;           ///< owns every node; stable addresses
   std::deque<Payload> payload_pool_;  ///< payload blocks, paired 1:1 with pool_
   std::vector<Node*> free_;         ///< retired nodes awaiting reuse
-  /// Flat leaf directory, mirroring the separator structure of the inner
-  /// nodes: dir_leaves_ is every live leaf in chain order, dir_keys_[i] the
-  /// separator to the left of leaf i ([0] is an unused sentinel). Lookups
-  /// route through one branchless search of this array — a few KB that the
-  /// find-heavy paths keep cache-hot — instead of a node descent whose
-  /// every level is a dependent cache miss. Maintained only at leaf split /
-  /// retire; inserts and erases still walk the tree.
-  std::vector<Key> dir_keys_;
-  std::vector<Node*> dir_leaves_;
-  /// (separator, right leaf) pairs; 16 bytes so one line holds the four
-  /// grandchildren of an eytzinger slot.
-  struct DirEnt {
-    Key sep;
-    Node* leaf;
-  };
-  std::vector<DirEnt> et_;  ///< 1-based eytzinger mirror of the separators
   Node* root_ = nullptr;
   Node* first_leaf_ = nullptr;
   std::size_t size_ = 0;

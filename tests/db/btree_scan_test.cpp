@@ -1,7 +1,8 @@
-/// Range-scan battery for the B+-tree: cross-leaf iteration routed through
-/// the eytzinger leaf directory, empty ranges, scans spanning erased and
-/// unlinked leaves, and scan-vs-MVCC visibility (the YCSB scan op walks a
-/// key range and charges chain_hops per row — see workload/ycsb.cpp).
+/// Range-scan battery for the B+-tree: cross-leaf iteration from a
+/// lower_bound routed down the inner nodes, empty ranges, scans spanning
+/// erased and unlinked leaves, and scan-vs-MVCC visibility (the YCSB scan
+/// op walks a key range and charges chain_hops per row — see
+/// workload/ycsb.cpp).
 /// A small fanout (4) forces multi-level trees and many leaves at tiny key
 /// counts so every scan genuinely crosses leaf boundaries.
 
@@ -78,8 +79,8 @@ TEST(BTreeScan, ScanSpansErasedLeaves) {
   ASSERT_EQ(got.size(), 100u);
   for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], 250 + i);
   for (std::size_t i = 50; i < 100; ++i) EXPECT_EQ(got[i], 700 + (i - 50));
-  // lower_bound into the erased gap lands on its successor (directory
-  // routing across the merged dead range).
+  // lower_bound into the erased gap lands on its successor (the descent
+  // routes into the neighbour that absorbed the dead range).
   auto it = t.lower_bound(500);
   ASSERT_TRUE(it.valid());
   EXPECT_EQ(it.key(), 700u);
@@ -107,10 +108,10 @@ TEST(BTreeScan, ScanAfterErasingPrefixAndDrain) {
   EXPECT_EQ(got.back(), 45u);
 }
 
-TEST(BTreeScan, DirectoryMatchesReferenceUnderChurn) {
+TEST(BTreeScan, RoutingMatchesReferenceUnderChurn) {
   // Interleaved random inserts and erases, then every lower_bound answer is
-  // checked against std::map — exercising the eytzinger directory rebuilds
-  // from both leaf splits and leaf retirements.
+  // checked against std::map — exercising the inner-node routing after both
+  // leaf splits and leaf retirements.
   SmallTree t;
   std::map<std::uint64_t, int> ref;
   std::mt19937_64 rng(2026);

@@ -7,6 +7,8 @@
 #include <random>
 #include <vector>
 
+#include "db/tpcc_schema.hpp"
+
 namespace dclue::db {
 namespace {
 
@@ -174,6 +176,75 @@ TEST(BTree, EraseUnlinksEmptyLeavesFromChain) {
   for (; it.valid(); it.next()) ++walked;
   EXPECT_EQ(walked, 512u);
   EXPECT_GT(t.pooled_free_nodes(), 0u);  // retired leaves went to the pool
+}
+
+TEST(BTree, NewOrderShapeMatchesReferenceAtProductionFanout) {
+  // TPC-C's new_order index at the fanout every table uses. Each district
+  // appends ascending order ids (the high-end append split, in leaves and
+  // inner nodes) and Delivery erases its oldest order, so emptied head
+  // leaves retire, the first one from slot 0 of its parent. Districts
+  // interleave at different rates: the slow ones drain completely and then
+  // refill into whichever neighbour absorbed their dead key range.
+  constexpr int kWarehouses = 3;
+  constexpr int kDistricts = 10;
+  constexpr int kRanges = kWarehouses * kDistricts;
+  BTree<std::uint64_t, int> t;
+  std::map<std::uint64_t, int> ref;
+  std::vector<std::int64_t> head(kRanges, 2101);  // oldest undelivered order
+  std::vector<std::int64_t> next(kRanges, 3001);  // next order id to assign
+  const auto key = [](int r, std::int64_t o) {
+    return key_wdo(r / kDistricts + 1, r % kDistricts + 1, o);
+  };
+  // Populated like TpccDatabase::populate: orders 2101..3000 undelivered.
+  for (int r = 0; r < kRanges; ++r) {
+    for (std::int64_t o = head[r]; o < next[r]; ++o) {
+      t.insert(key(r, o), static_cast<int>(o));
+      ref[key(r, o)] = static_cast<int>(o);
+    }
+  }
+  ASSERT_GE(t.height(), 3);  // inner nodes split too
+
+  std::mt19937_64 rng(12);
+  int refills = 0;  // new orders for a district with none outstanding
+  for (int round = 0; round < 40; ++round) {
+    for (int step = 0; step < 3'000; ++step) {
+      const int r = static_cast<int>(rng() % kRanges);
+      const int new_order_pct = 30 + 4 * (r % kDistricts);  // 30..66 %
+      if (static_cast<int>(rng() % 100) < new_order_pct) {
+        if (head[r] == next[r]) ++refills;
+        const std::int64_t o = next[r]++;
+        t.insert(key(r, o), static_cast<int>(o));
+        ref[key(r, o)] = static_cast<int>(o);
+      } else if (head[r] < next[r]) {
+        const std::int64_t o = head[r]++;
+        ASSERT_TRUE(t.erase(key(r, o))) << "round " << round;
+        ref.erase(key(r, o));
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size()) << "round " << round;
+    for (const auto& [k, v] : ref) {
+      const auto got = t.find(k);
+      ASSERT_TRUE(got.has_value()) << "round " << round << " key " << k;
+      ASSERT_EQ(*got, v);
+    }
+    for (int r = 0; r < kRanges; ++r) {
+      EXPECT_FALSE(t.contains(key(r, head[r] - 1)));  // delivered
+      EXPECT_FALSE(t.contains(key(r, next[r])));      // not yet ordered
+      // Delivery's probe for the district's oldest new order.
+      const std::uint64_t probe = key(r, 0);
+      const auto it = t.lower_bound(probe);
+      const auto rit = ref.lower_bound(probe);
+      if (rit == ref.end()) {
+        EXPECT_FALSE(it.valid()) << "round " << round << " district " << r;
+      } else {
+        ASSERT_TRUE(it.valid()) << "round " << round << " district " << r;
+        EXPECT_EQ(it.key(), rit->first) << "round " << round << " district " << r;
+        EXPECT_EQ(it.value(), rit->second);
+      }
+    }
+  }
+  EXPECT_GT(refills, 0);
+  EXPECT_GT(t.pooled_free_nodes(), 0u);
 }
 
 /// Property sweep: random interleavings of insert/erase stay consistent with

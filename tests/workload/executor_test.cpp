@@ -39,7 +39,7 @@ struct MiniNode {
     tp.servers_per_lata = 1;
     topo = std::make_unique<net::Topology>(engine, tp);
     node = std::make_unique<core::Node>(engine, cfg, 0, topo->server_nic(0), *db,
-                                        &clock, rngs);
+                                        db->total_data_pages(), &clock, rngs);
     stats = &node->stats();
 
     NodeEnv env;
