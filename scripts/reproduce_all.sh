@@ -5,7 +5,9 @@
 # Reuses build/ as configured (any generator); a fresh build/ gets Ninja
 # when it is installed. Every bench runs with outdir as its working
 # directory, so the BENCH_*.json files the micro benches write land there
-# and never overwrite the committed baselines at the repo root.
+# and never overwrite the committed baselines at the repo root. The wall
+# time of every bench and of the whole bench loop goes to
+# outdir/BENCH_e2e.json, with the machine's nproc and the git revision.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-results}"
@@ -20,11 +22,13 @@ fi
 cmake --build build -j "$(nproc)"
 ctest --test-dir build 2>&1 | tee "$OUT/test_output.txt"
 
+walls=()  # "name start end" per bench, in seconds since the epoch
 for b in "$PWD"/build/bench/*; do
   # Only the bench executables: skip CMakeFiles/ and generated files.
   [ -f "$b" ] && [ -x "$b" ] || continue
   name="$(basename "$b")"
   echo "=== $name ==="
+  start="$(date +%s.%N)"
   case "$name" in
     micro_*)
       # Micro benches write their own BENCH_*.json into the working dir.
@@ -34,6 +38,25 @@ for b in "$PWD"/build/bench/*; do
       (cd "$OUT" && "$b" --report="$OUT/REPORT_$name.json") | tee "$OUT/$name.txt"
       ;;
   esac
+  walls+=("$name $start $(date +%s.%N)")
 done
+python3 - "$OUT/BENCH_e2e.json" "$(git rev-parse HEAD 2>/dev/null || echo none)" \
+    "$(nproc)" "${walls[@]}" <<'PY'
+import json, os, sys
+path, rev, nproc, walls = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+runs = [(name, float(start), float(end))
+        for name, start, end in (w.split() for w in walls)]
+doc = {
+    "git_rev": rev,
+    "nproc": nproc,
+    "repro_fast": os.environ.get("REPRO_FAST") == "1",
+    "repro_jobs": os.environ.get("REPRO_JOBS"),
+    "bench_wall_s": {name: round(end - start, 3) for name, start, end in runs},
+    "total_wall_s": round(runs[-1][2] - runs[0][1], 3) if runs else 0.0,
+}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+PY
 python3 scripts/check_report.py "$OUT"/REPORT_*.json
 echo "All outputs in $OUT/"

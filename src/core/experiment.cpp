@@ -1,7 +1,9 @@
 #include "core/experiment.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "sim/sweep.hpp"
 
@@ -18,32 +20,20 @@ RunReport run_experiment_avg(ClusterConfig cfg, int replications) {
     cfg.seed = cfg.seed * 1315423911ULL + 17;
     RunReport one = run_experiment(cfg);
     const double k = 1.0 / static_cast<double>(r + 1);
-    auto blend = [k](double& acc, double v) { acc += (v - acc) * k; };
-    blend(avg.tpmc, one.tpmc);
-    blend(avg.txn_rate, one.txn_rate);
-    blend(avg.txns, one.txns);
-    blend(avg.ipc_control_per_txn, one.ipc_control_per_txn);
-    blend(avg.ipc_data_per_txn, one.ipc_data_per_txn);
-    blend(avg.control_msg_delay_ms, one.control_msg_delay_ms);
-    blend(avg.lock_waits_per_txn, one.lock_waits_per_txn);
-    blend(avg.lock_wait_time_ms, one.lock_wait_time_ms);
-    blend(avg.lock_failures_per_txn, one.lock_failures_per_txn);
-    blend(avg.buffer_hit_ratio, one.buffer_hit_ratio);
-    blend(avg.disk_reads_per_txn, one.disk_reads_per_txn);
-    blend(avg.remote_fetch_per_txn, one.remote_fetch_per_txn);
-    blend(avg.avg_active_threads, one.avg_active_threads);
-    blend(avg.avg_context_switch_cycles, one.avg_context_switch_cycles);
-    blend(avg.avg_cpi, one.avg_cpi);
-    blend(avg.cpu_utilization, one.cpu_utilization);
-    blend(avg.inter_lata_mbps, one.inter_lata_mbps);
-    blend(avg.abort_rate, one.abort_rate);
-    blend(avg.ftp_carried_mbps, one.ftp_carried_mbps);
-    avg.fabric_drops += one.fabric_drops;
-    avg.nodes = one.nodes;
-    avg.affinity = one.affinity;
-    avg.measure_seconds = one.measure_seconds;
-    // Scalars blend; the registry snapshot is kept from the last replication
-    // (averaging arbitrary metric kinds is not meaningful).
+    visit_fields(
+        [k](const char*, auto& acc, const auto& v) {
+          using Field = std::decay_t<decltype(acc)>;
+          if constexpr (std::is_same_v<Field, double>) {
+            acc += (v - acc) * k;  // running mean
+          } else if constexpr (std::is_same_v<Field, std::uint64_t>) {
+            acc += v;  // counters add up over replications
+          } else {
+            acc = v;  // config echo: the same in every replication
+          }
+        },
+        avg, one);
+    // The registry snapshot is kept from the last replication (averaging
+    // arbitrary metric kinds is not meaningful).
     avg.registry = std::move(one.registry);
   }
   return avg;

@@ -24,7 +24,7 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
       rng_(rngs.stream("node", static_cast<std::uint64_t>(id))) {
   // --- platform -------------------------------------------------------------
   const cpu::PlatformParams platform = cpu::PlatformParams{}.scaled(cfg.scale);
-  mem_ = std::make_unique<cpu::MemorySystem>(engine, platform);
+  mem_ = std::make_unique<cpu::MemorySystem>(platform);
   proc_ = std::make_unique<cpu::Processor>(engine, platform, *mem_);
 
   // --- fabric ---------------------------------------------------------------

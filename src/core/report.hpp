@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -85,48 +86,66 @@ struct RunReport {
 };
 
 /// Visit every scalar field in the canonical order (the golden fixture's
-/// order). `scalar(name, double)` receives the doubles, `integer(name, u64)`
-/// the counters. New fields must be appended here to appear in fixtures and
-/// reports.
+/// order), walking one or more reports in step: `fn(name, field...)` gets
+/// the same field of each report, by reference. A field's type says what it
+/// holds: a `double` is a measured value, a `std::uint64_t` a counter, and an
+/// `int` an echo of the configuration, equal in every replication of a
+/// point. New fields must be appended here to appear in fixtures, reports
+/// and replication averages.
+template <typename Fn, typename... Reports>
+void visit_fields(Fn&& fn, Reports&... r) {
+  fn("nodes", r.nodes...);
+  fn("affinity", r.affinity...);
+  fn("measure_seconds", r.measure_seconds...);
+  fn("tpmc", r.tpmc...);
+  fn("txn_rate", r.txn_rate...);
+  fn("txns", r.txns...);
+  fn("ipc_control_per_txn", r.ipc_control_per_txn...);
+  fn("ipc_data_per_txn", r.ipc_data_per_txn...);
+  fn("control_msg_delay_ms", r.control_msg_delay_ms...);
+  fn("lock_waits_per_txn", r.lock_waits_per_txn...);
+  fn("lock_wait_time_ms", r.lock_wait_time_ms...);
+  fn("lock_failures_per_txn", r.lock_failures_per_txn...);
+  fn("buffer_hit_ratio", r.buffer_hit_ratio...);
+  fn("disk_reads_per_txn", r.disk_reads_per_txn...);
+  fn("remote_fetch_per_txn", r.remote_fetch_per_txn...);
+  fn("avg_active_threads", r.avg_active_threads...);
+  fn("avg_context_switch_cycles", r.avg_context_switch_cycles...);
+  fn("avg_cpi", r.avg_cpi...);
+  fn("cpu_utilization", r.cpu_utilization...);
+  fn("inter_lata_mbps", r.inter_lata_mbps...);
+  fn("fabric_drops", r.fabric_drops...);
+  fn("abort_rate", r.abort_rate...);
+  fn("txn_ms", r.txn_ms...);
+  fn("txn_phase1_ms", r.txn_phase1_ms...);
+  fn("txn_lock_ms", r.txn_lock_ms...);
+  fn("txn_log_ms", r.txn_log_ms...);
+  fn("txn_apply_ms", r.txn_apply_ms...);
+  fn("ftp_carried_mbps", r.ftp_carried_mbps...);
+  fn("business_txns", r.business_txns...);
+  fn("admission_drops", r.admission_drops...);
+  fn("client_conn_failures", r.client_conn_failures...);
+  fn("shard_count", r.shard_count...);
+  fn("transport", r.transport...);
+  fn("ycsb_ops", r.ycsb_ops...);
+  fn("ycsb_op_rate", r.ycsb_op_rate...);
+  fn("sojourn_p50_ms", r.sojourn_p50_ms...);
+  fn("sojourn_p99_ms", r.sojourn_p99_ms...);
+}
+
+/// Read-only walk of one report: `scalar(name, double)` receives the
+/// measured values, `integer(name, u64)` the counters and config echoes.
 template <typename ScalarFn, typename IntegerFn>
 void for_each_field(const RunReport& r, ScalarFn&& scalar, IntegerFn&& integer) {
-  scalar("nodes", static_cast<double>(r.nodes));
-  scalar("affinity", r.affinity);
-  scalar("measure_seconds", r.measure_seconds);
-  scalar("tpmc", r.tpmc);
-  scalar("txn_rate", r.txn_rate);
-  scalar("txns", r.txns);
-  scalar("ipc_control_per_txn", r.ipc_control_per_txn);
-  scalar("ipc_data_per_txn", r.ipc_data_per_txn);
-  scalar("control_msg_delay_ms", r.control_msg_delay_ms);
-  scalar("lock_waits_per_txn", r.lock_waits_per_txn);
-  scalar("lock_wait_time_ms", r.lock_wait_time_ms);
-  scalar("lock_failures_per_txn", r.lock_failures_per_txn);
-  scalar("buffer_hit_ratio", r.buffer_hit_ratio);
-  scalar("disk_reads_per_txn", r.disk_reads_per_txn);
-  scalar("remote_fetch_per_txn", r.remote_fetch_per_txn);
-  scalar("avg_active_threads", r.avg_active_threads);
-  scalar("avg_context_switch_cycles", r.avg_context_switch_cycles);
-  scalar("avg_cpi", r.avg_cpi);
-  scalar("cpu_utilization", r.cpu_utilization);
-  scalar("inter_lata_mbps", r.inter_lata_mbps);
-  integer("fabric_drops", r.fabric_drops);
-  scalar("abort_rate", r.abort_rate);
-  scalar("txn_ms", r.txn_ms);
-  scalar("txn_phase1_ms", r.txn_phase1_ms);
-  scalar("txn_lock_ms", r.txn_lock_ms);
-  scalar("txn_log_ms", r.txn_log_ms);
-  scalar("txn_apply_ms", r.txn_apply_ms);
-  scalar("ftp_carried_mbps", r.ftp_carried_mbps);
-  scalar("business_txns", r.business_txns);
-  integer("admission_drops", r.admission_drops);
-  integer("client_conn_failures", r.client_conn_failures);
-  integer("shard_count", static_cast<std::uint64_t>(r.shard_count));
-  integer("transport", static_cast<std::uint64_t>(r.transport));
-  scalar("ycsb_ops", r.ycsb_ops);
-  scalar("ycsb_op_rate", r.ycsb_op_rate);
-  scalar("sojourn_p50_ms", r.sojourn_p50_ms);
-  scalar("sojourn_p99_ms", r.sojourn_p99_ms);
+  visit_fields(
+      [&](const char* name, const auto& v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+          scalar(name, v);
+        } else {
+          integer(name, static_cast<std::uint64_t>(v));
+        }
+      },
+      r);
 }
 
 /// One sweep point of a RunReport file: the axis value, the exact

@@ -9,30 +9,28 @@
 ///
 /// The effective CPI is a fixed point: more stalls -> higher CPI -> lower
 /// instruction (and therefore miss) rate -> less bus queueing -> fewer
-/// stalls. We solve it by damped iteration each time the inputs (busy cores,
-/// active threads, class mix) change materially.
+/// stalls. It is solved to convergence by bracketed Newton iteration each
+/// time the inputs (busy cores, active threads, class mix) change, starting
+/// from the same guess every time, so the CPI is a pure function of them.
 
 #include <array>
 
 #include "cpu/params.hpp"
-#include "sim/engine.hpp"
-#include "sim/obs/stats.hpp"
 
 namespace dclue::cpu {
 
 class MemorySystem {
  public:
-  MemorySystem(sim::Engine& engine, const PlatformParams& params)
-      : engine_(engine), params_(params) {}
+  explicit MemorySystem(const PlatformParams& params) : params_(params) {}
 
   /// Effective cycles-per-instruction for work of class \p cls given the
   /// current platform state. Cached; recomputed when state changes.
   double effective_cpi(JobClass cls);
 
   /// Cost in cycles of dispatching a different thread than the one that ran
-  /// last on a core. Grows with cache pressure (thread count) and with the
-  /// prevailing loaded memory latency — the paper's 17.7 K -> 69.7 K effect.
-  sim::Cycles context_switch_cycles();
+  /// last on a core. Grows with cache pressure (thread count): the evicted
+  /// part of the working set is refilled — the paper's 17.7 K -> 69.7 K effect.
+  [[nodiscard]] sim::Cycles context_switch_cycles() const;
 
   /// Fraction of a thread's working set evicted between consecutive runs.
   [[nodiscard]] double eviction_fraction(double threads) const;
@@ -63,7 +61,6 @@ class MemorySystem {
   void recompute();
   [[nodiscard]] double class_share(JobClass cls) const;
 
-  sim::Engine& engine_;
   PlatformParams params_;
 
   int busy_cores_ = 0;
@@ -72,7 +69,6 @@ class MemorySystem {
   double instr_total_ = 0.0;
 
   bool dirty_ = true;
-  sim::Time last_compute_ = -1.0;
   std::array<double, kNumJobClasses> cpi_by_class_{};
   double last_latency_s_ = 0.0;
   double last_dbus_util_ = 0.0;

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <utility>
+
 namespace dclue::cpu {
 namespace {
 
 struct Fixture {
-  sim::Engine engine;
   PlatformParams params;
-  MemorySystem mem{engine, params};
+  MemorySystem mem{params};
 };
 
 TEST(MemorySystem, BaselineCpiIsModest) {
@@ -89,6 +93,160 @@ TEST(MemorySystem, UtilizationIsBounded) {
   f.mem.effective_cpi(JobClass::kApplication);
   EXPECT_LE(f.mem.data_bus_utilization(), 1.0);
   EXPECT_GT(f.mem.data_bus_utilization(), 0.0);
+}
+
+/// Instructions noted per class before solving; the model's class shares
+/// are these over their sum.
+struct Mix {
+  const char* name;
+  double instr[kNumJobClasses];
+};
+
+constexpr Mix kMixes[] = {
+    {"application-only", {1e7, 0.0, 0.0}},
+    {"kernel-heavy", {1e6, 9e6, 0.0}},
+    {"interrupt-heavy", {1e6, 0.0, 9e6}},
+};
+
+constexpr int kThreadGrid[] = {0, 1, 10, 20, 32, 50, 75, 100, 150, 200, 250, 300};
+
+/// A test-local statement of the CPI fixed point the solver must hit:
+/// c = base_cpi + k * latency(c), where the miss rate at CPI c is
+/// busy * freq * mpi / c.
+struct FixedPoint {
+  const PlatformParams& p;
+  double base_cpi = 0.0;
+  double mpi = 0.0;
+  int busy = 1;
+
+  FixedPoint(const PlatformParams& params, const Mix& mix, int busy_cores,
+             double evict)
+      : p(params), busy(std::max(busy_cores, 1)) {
+    double total = 0.0;
+    for (double v : mix.instr) total += v;
+    for (int c = 0; c < kNumJobClasses; ++c) {
+      base_cpi += mix.instr[c] / total * p.base_cpi[c];
+      mpi += mix.instr[c] / total * p.mpi[c];
+    }
+    mpi *= 1.0 + 2.0 * evict;
+  }
+
+  [[nodiscard]] double k() const { return mpi * p.freq_hz * p.blocking_factor; }
+  [[nodiscard]] double lambda(double cpi) const {
+    return busy * p.freq_hz * mpi / cpi;
+  }
+  /// (service time, servers) of the address bus, data bus and memory channels.
+  [[nodiscard]] std::array<std::pair<double, int>, 3> stations() const {
+    return {{{p.addr_bus_s, 1}, {p.data_bus_s, 1}, {p.mem_channel_s, p.mem_channels}}};
+  }
+  [[nodiscard]] double latency(double cpi) const {
+    double l = p.dram_base_s;
+    for (auto [s, n] : stations()) {
+      const double r = std::min(lambda(cpi) * s / n, 0.97);
+      l += r / (1.0 - r) * s;
+    }
+    return l;
+  }
+  [[nodiscard]] double h(double cpi) const {
+    return cpi - base_cpi - k() * latency(cpi);
+  }
+  [[nodiscard]] double dh(double cpi) const {
+    double sum = 0.0;
+    for (auto [s, n] : stations()) {
+      const double r = lambda(cpi) * s / n;
+      if (r < 0.97) sum += s * (s / n) / ((1.0 - r) * (1.0 - r));
+    }
+    return 1.0 + k() * lambda(cpi) / cpi * sum;
+  }
+
+  /// The solver this model replaced: 30 damped steps from base_cpi + 1.
+  [[nodiscard]] double damped_30_steps() const {
+    double cpi = base_cpi + 1.0;
+    for (int iter = 0; iter < 30; ++iter) {
+      cpi = 0.5 * cpi + 0.5 * (base_cpi + k() * latency(cpi));
+    }
+    return cpi;
+  }
+
+  /// Newton's method without a bracket; the step count to |step| <= 1e-15 c,
+  /// or -1 if it has not converged after 200 steps.
+  [[nodiscard]] int unbracketed_newton_steps() const {
+    double cpi = base_cpi + 1.0;
+    for (int iter = 0; iter < 200; ++iter) {
+      const double step = h(cpi) / dh(cpi);
+      if (std::abs(step) <= 1e-15 * cpi) return iter;
+      cpi -= step;
+    }
+    return -1;
+  }
+};
+
+/// Solve through MemorySystem and return the blended CPI,
+/// sum over classes of class share * effective_cpi.
+double blended_cpi(const PlatformParams& params, const Mix& mix, int busy,
+                   double threads) {
+  MemorySystem mem{params};
+  mem.set_busy_cores(busy);
+  mem.set_active_threads(threads);
+  double total = 0.0;
+  for (int c = 0; c < kNumJobClasses; ++c) {
+    if (mix.instr[c] > 0.0) mem.note_instructions(static_cast<JobClass>(c), mix.instr[c]);
+    total += mix.instr[c];
+  }
+  double cpi = 0.0;
+  for (int c = 0; c < kNumJobClasses; ++c) {
+    cpi += mix.instr[c] / total * mem.effective_cpi(static_cast<JobClass>(c));
+  }
+  return cpi;
+}
+
+FixedPoint model_for(const Fixture& f, const Mix& mix, int busy, double threads) {
+  return FixedPoint(f.params, mix, busy,
+                    f.mem.eviction_fraction(std::max(threads, 1.0)));
+}
+
+TEST(MemorySystem, CpiSatisfiesFixedPointAcrossGrid) {
+  Fixture f;
+  for (const Mix& mix : kMixes) {
+    for (int busy : {1, 2}) {
+      for (int threads : kThreadGrid) {
+        const double cpi = blended_cpi(f.params, mix, busy, threads);
+        const FixedPoint m = model_for(f, mix, busy, threads);
+        EXPECT_LE(std::abs(m.h(cpi)) / cpi, 1e-12)
+            << mix.name << " busy=" << busy << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(MemorySystem, BracketHoldsNewtonAcrossTheClampKink) {
+  // Four busy cores (a 4-core node), 300 threads (89 % of each working set
+  // evicted) and an interrupt-heavy mix: the cold guess saturates every
+  // station, and plain Newton then jumps back and forth across the clamp
+  // kink forever. With at most two busy cores plain Newton happens to
+  // converge on this platform, so the case needs the wider node.
+  Fixture f;
+  const Mix& mix = kMixes[2];
+  const FixedPoint m = model_for(f, mix, 4, 300);
+  EXPECT_EQ(m.unbracketed_newton_steps(), -1);
+
+  const double cpi = blended_cpi(f.params, mix, 4, 300);
+  EXPECT_LE(std::abs(m.h(cpi)) / cpi, 1e-12);
+  EXPECT_GT(cpi, m.base_cpi);
+}
+
+TEST(MemorySystem, AgreesWithThirtyDampedSteps) {
+  Fixture f;
+  for (const Mix& mix : kMixes) {
+    for (int busy : {1, 2}) {
+      for (int threads : kThreadGrid) {
+        const double cpi = blended_cpi(f.params, mix, busy, threads);
+        const double old = model_for(f, mix, busy, threads).damped_30_steps();
+        EXPECT_NEAR(cpi, old, 1e-9 * old)
+            << mix.name << " busy=" << busy << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

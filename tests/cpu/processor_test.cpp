@@ -14,11 +14,11 @@ using sim::Task;
 struct Fixture {
   Engine engine;
   PlatformParams params;
-  MemorySystem mem{engine, params};
+  MemorySystem mem{params};
   Processor proc{engine, params, mem};
   Fixture() = default;
   explicit Fixture(PlatformParams p)
-      : params(p), mem(engine, params), proc(engine, params, mem) {}
+      : params(p), mem(params), proc(engine, params, mem) {}
 };
 
 TEST(Processor, SingleJobTakesPathLengthOverCpiTime) {

@@ -28,49 +28,13 @@ std::vector<ClusterConfig> small_grid() {
   return cfgs;
 }
 
-#define EXPECT_FIELD_EQ(field) \
-  EXPECT_EQ(a.field, b.field) << "point " << i << " diverged in " #field
-
 void expect_identical(const RunReport& a, const RunReport& b, std::size_t i) {
-  EXPECT_FIELD_EQ(nodes);
-  EXPECT_FIELD_EQ(affinity);
-  EXPECT_FIELD_EQ(measure_seconds);
-  EXPECT_FIELD_EQ(tpmc);
-  EXPECT_FIELD_EQ(txn_rate);
-  EXPECT_FIELD_EQ(txns);
-  EXPECT_FIELD_EQ(ipc_control_per_txn);
-  EXPECT_FIELD_EQ(ipc_data_per_txn);
-  EXPECT_FIELD_EQ(control_msg_delay_ms);
-  EXPECT_FIELD_EQ(lock_waits_per_txn);
-  EXPECT_FIELD_EQ(lock_wait_time_ms);
-  EXPECT_FIELD_EQ(lock_failures_per_txn);
-  EXPECT_FIELD_EQ(buffer_hit_ratio);
-  EXPECT_FIELD_EQ(disk_reads_per_txn);
-  EXPECT_FIELD_EQ(remote_fetch_per_txn);
-  EXPECT_FIELD_EQ(avg_active_threads);
-  EXPECT_FIELD_EQ(avg_context_switch_cycles);
-  EXPECT_FIELD_EQ(avg_cpi);
-  EXPECT_FIELD_EQ(cpu_utilization);
-  EXPECT_FIELD_EQ(inter_lata_mbps);
-  EXPECT_FIELD_EQ(fabric_drops);
-  EXPECT_FIELD_EQ(abort_rate);
-  EXPECT_FIELD_EQ(txn_ms);
-  EXPECT_FIELD_EQ(txn_phase1_ms);
-  EXPECT_FIELD_EQ(txn_lock_ms);
-  EXPECT_FIELD_EQ(txn_log_ms);
-  EXPECT_FIELD_EQ(txn_apply_ms);
-  EXPECT_FIELD_EQ(ftp_carried_mbps);
-  EXPECT_FIELD_EQ(business_txns);
-  EXPECT_FIELD_EQ(admission_drops);
-  EXPECT_FIELD_EQ(client_conn_failures);
-  EXPECT_FIELD_EQ(shard_count);
-  EXPECT_FIELD_EQ(ycsb_ops);
-  EXPECT_FIELD_EQ(ycsb_op_rate);
-  EXPECT_FIELD_EQ(sojourn_p50_ms);
-  EXPECT_FIELD_EQ(sojourn_p99_ms);
+  visit_fields(
+      [i](const char* name, const auto& x, const auto& y) {
+        EXPECT_EQ(x, y) << "point " << i << " diverged in " << name;
+      },
+      a, b);
 }
-
-#undef EXPECT_FIELD_EQ
 
 TEST(SweepDeterminism, ParallelMatchesSerialBitForBit) {
   const std::vector<ClusterConfig> cfgs = small_grid();
@@ -258,6 +222,31 @@ TEST(SweepDeterminism, YcsbShardedFaultedMatchesSerialWindows) {
     expect_identical(serial[i], parallel[i], i);
   }
   EXPECT_GT(serial[0].ycsb_ops, 0.0);
+}
+
+// --- replication averaging -------------------------------------------------
+// run_experiment_avg reseeds before every replication, so averaging one
+// replication must reproduce a single run of the reseeded config in every
+// field: a field the average forgets reads 0 here.
+
+TEST(RunExperimentAvg, OneReplicationEqualsReseededSingleRun) {
+  ClusterConfig tpcc = sharded_cfg(2, false);
+  tpcc.transport_spec = "rdma";
+  const ClusterConfig ycsb = ycsb_cfg(71);
+  std::vector<RunReport> singles;
+  for (const ClusterConfig& cfg : {tpcc, ycsb}) {
+    ClusterConfig reseeded = cfg;
+    reseeded.seed = cfg.seed * 1315423911ULL + 17;
+    singles.push_back(run_experiment(reseeded));
+    expect_identical(run_experiment_avg(cfg, 1), singles.back(), singles.size() - 1);
+  }
+  // The points exercise the fields the average used to drop.
+  EXPECT_EQ(singles[0].transport, 1);
+  EXPECT_EQ(singles[0].shard_count, 2);
+  EXPECT_GT(singles[0].txn_ms, 0.0);
+  EXPECT_GT(singles[0].business_txns, 0.0);
+  EXPECT_GT(singles[1].ycsb_ops, 0.0);
+  EXPECT_GT(singles[1].sojourn_p99_ms, 0.0);
 }
 
 TEST(SweepDeterminism, RepeatedParallelRunsAgree) {
