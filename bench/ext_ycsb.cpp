@@ -13,8 +13,8 @@
 ///      twin of B and a dynamic-shift twin of B), emitting the standard
 ///      RunReport JSON for scripts/check_report.py.
 ///
-/// The binary overrides global operator new for the probes, so it must not
-/// link google-benchmark (see micro_datapath.cpp).
+/// The binary overrides global operator new for the probes (like
+/// micro_datapath.cpp).
 
 #include <atomic>
 #include <cstdint>

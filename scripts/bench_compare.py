@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
 """Compare a freshly generated benchmark JSON against a baseline.
 
-Accepts two input shapes behind one comparison loop:
-  - flat BENCH_*.json key/value files from the micro benches, and
-  - dclue.run_report.v1 REPORT_*.json files from the figure benches (each
-    sweep point's report block is flattened to "p<i>.<field>" keys, so two
-    runs of the same sweep compare point by point).
+Two input shapes:
+  - dclue.run_report.v1 REPORT_*.json files from the figure benches. Two
+    runs of the same sweep must be identical: the same number of points,
+    and per point the same report keys with equal values and the same
+    registry metrics with every field equal. Registry metrics named
+    "shard.*" are skipped: they are wall-clock window-protocol diagnostics.
+    The config echo is not compared. --tolerance and --keys do not apply.
+  - flat BENCH_*.json key/value files from the micro benches. A compared
+    metric fails if it regresses by more than the tolerance (default 10%).
+    Direction is inferred from the key name:
 
-Exit non-zero if any compared metric regresses by more than the tolerance
-(default 10%). Direction is inferred from the key name:
+      *_per_sec, *_per_sec_after, *speedup, *tpmc     higher is better
+      *allocs_per_segment_after, *events_per_segment,
+      *allocs_per_op_after                            lower is better
 
-  *_per_sec, *_per_sec_after, *speedup, *tpmc     higher is better
-  *allocs_per_segment_after, *events_per_segment,
-  *allocs_per_op_after                            lower is better
+    Config keys (workload sizes, event counts) and the *_before baselines
+    baked into the binary are ignored: they describe the measurement, not
+    the result. Throughput keys are machine-dependent, so CI gates on the
+    deterministic metrics (--keys); a full comparison is available for
+    same-machine before/after runs.
 
-Config keys (workload sizes, event counts) and the *_before baselines baked
-into the binary are ignored: they describe the measurement, not the result.
-
-Throughput keys are machine-dependent, so CI gates on the deterministic
-metrics by default (--keys); a full comparison is available for same-machine
-before/after runs.
+Exit status: 0 when everything compared matches, 1 on any mismatch or
+regression, 2 when there is nothing to compare.
 
 Usage:
   bench_compare.py BASELINE.json CURRENT.json [--tolerance 0.10]
@@ -30,22 +34,53 @@ import argparse
 import json
 import sys
 
+REPORT_SCHEMA = "dclue.run_report.v1"
 HIGHER_SUFFIXES = ("_per_sec", "_per_sec_after", "speedup", "tpmc")
 LOWER_SUFFIXES = ("allocs_per_segment_after", "events_per_segment",
                   "allocs_per_op_after", "mismatches",
                   "allocs_per_event_after", "allocs_per_msg_after")
 
 
-def flatten(doc):
-    """Flatten a dclue.run_report.v1 document into comparable flat keys;
-    pass flat BENCH_*.json documents through unchanged."""
-    if not (isinstance(doc, dict) and doc.get("schema") == "dclue.run_report.v1"):
-        return doc
-    flat = {}
-    for i, point in enumerate(doc.get("points", [])):
-        for key, value in point.get("report", {}).items():
-            flat[f"p{i}.{key}"] = value
-    return flat
+def is_report(doc):
+    return isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA
+
+
+def registry_by_name(point):
+    """Registry metrics of one point by name, without the shard.* gauges."""
+    return {m["name"]: m for m in point.get("registry", [])
+            if not m["name"].startswith("shard.")}
+
+
+def diff_fields(where, base, cur, mismatches):
+    """Append a line per key missing on either side or with unequal values;
+    return the number of values compared."""
+    for key in sorted(base.keys() - cur.keys()):
+        mismatches.append(f"{where}.{key}: missing from current")
+    for key in sorted(cur.keys() - base.keys()):
+        mismatches.append(f"{where}.{key}: not in baseline")
+    shared = sorted(base.keys() & cur.keys())
+    for key in shared:
+        if base[key] != cur[key]:
+            mismatches.append(f"{where}.{key}: baseline {base[key]!r}, "
+                              f"current {cur[key]!r}")
+    return len(shared)
+
+
+def compare_reports(base, cur):
+    """Exact identity of two RunReports: returns the number of report values
+    and registry metrics compared, and a line per difference."""
+    base_points, cur_points = base.get("points", []), cur.get("points", [])
+    mismatches = []
+    if len(base_points) != len(cur_points):
+        mismatches.append(f"points: baseline has {len(base_points)}, "
+                          f"current has {len(cur_points)}")
+    compared = 0
+    for i, (bp, cp) in enumerate(zip(base_points, cur_points)):
+        compared += diff_fields(f"p{i}.report", bp.get("report", {}),
+                                cp.get("report", {}), mismatches)
+        compared += diff_fields(f"p{i}.registry", registry_by_name(bp),
+                                registry_by_name(cp), mismatches)
+    return compared, mismatches
 
 
 def direction(key):
@@ -61,21 +96,8 @@ def direction(key):
     return None
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline")
-    ap.add_argument("current")
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="allowed fractional regression (default 0.10)")
-    ap.add_argument("--keys", nargs="*", default=None,
-                    help="restrict the comparison to these keys")
-    args = ap.parse_args()
-
-    with open(args.baseline) as f:
-        base = flatten(json.load(f))
-    with open(args.current) as f:
-        cur = flatten(json.load(f))
-
+def compare_flat(base, cur, tolerance, keys):
+    """Directional regression check of two flat BENCH_*.json documents."""
     compared = 0
     failures = []
     for key, base_val in sorted(base.items()):
@@ -84,7 +106,7 @@ def main():
         sign = direction(key)
         if sign is None:
             continue
-        if args.keys is not None and key not in args.keys:
+        if keys is not None and key not in keys:
             continue
         if key not in cur:
             failures.append(f"{key}: present in baseline, missing from current")
@@ -92,11 +114,11 @@ def main():
         cur_val = cur[key]
         compared += 1
         if sign > 0:
-            floor = base_val * (1.0 - args.tolerance)
+            floor = base_val * (1.0 - tolerance)
             ok = cur_val >= floor
             bound = f">= {floor:.4g}"
         else:
-            ceiling = base_val * (1.0 + args.tolerance)
+            ceiling = base_val * (1.0 + tolerance)
             ok = cur_val <= ceiling
             bound = f"<= {ceiling:.4g}"
         status = "ok  " if ok else "FAIL"
@@ -105,22 +127,59 @@ def main():
         if not ok:
             failures.append(f"{key}: {base_val:.4g} -> {cur_val:.4g}")
 
-    if args.keys is not None:
-        missing = [k for k in args.keys if k not in base]
-        for k in missing:
-            failures.append(f"{k}: requested key absent from baseline")
+    if keys is not None:
+        for k in keys:
+            if k not in base:
+                failures.append(f"{k}: requested key absent from baseline")
 
     if compared == 0 and not failures:
         print("error: no comparable metric keys found", file=sys.stderr)
         return 2
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance:", file=sys.stderr)
+              f"{tolerance:.0%} tolerance:", file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
     print(f"all {compared} compared metric(s) within "
-          f"{args.tolerance:.0%} of baseline")
+          f"{tolerance:.0%} of baseline")
+    return 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("baseline")
+    ap.add_argument("current")
+    ap.add_argument("--tolerance", type=float, default=0.10,
+                    help="allowed fractional regression for flat BENCH "
+                         "files (default 0.10)")
+    ap.add_argument("--keys", nargs="*", default=None,
+                    help="restrict a flat BENCH comparison to these keys")
+    args = ap.parse_args()
+
+    with open(args.baseline) as f:
+        base = json.load(f)
+    with open(args.current) as f:
+        cur = json.load(f)
+
+    if is_report(base) != is_report(cur):
+        print("error: cannot compare a RunReport with a flat BENCH file",
+              file=sys.stderr)
+        return 2
+    if not is_report(base):
+        return compare_flat(base, cur, args.tolerance, args.keys)
+
+    compared, mismatches = compare_reports(base, cur)
+    for line in mismatches:
+        print(f"  DIFF {line}")
+    if mismatches:
+        print(f"\n{len(mismatches)} difference(s) between the reports",
+              file=sys.stderr)
+        return 1
+    if compared == 0:
+        print("error: no report values to compare", file=sys.stderr)
+        return 2
+    print(f"reports identical: {compared} value(s) compared")
     return 0
 
 

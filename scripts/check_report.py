@@ -8,8 +8,11 @@ instead of silently breaking downstream tooling.
 
 Checks:
   - top level: schema tag, bench/title/sweep_axis strings, non-empty points
-  - per point: numeric axis_value, config object, report object with the
-    canonical scalar fields, registry array
+  - per point: numeric axis_value, config object, report object with
+    exactly the canonical scalar fields, registry array
+  - per point, the report agrees with its config echo: nodes, affinity,
+    measure_seconds (= measure), transport (0 = tcp, 1 = rdma), and
+    shard_count (0 exactly when shards is 0, never more than shards)
   - per registry metric: name, known kind, finite numeric value; distribution
     kinds (tally, histogram) carry the stats block; histograms carry quantiles
   - all finite: no NaN/Inf anywhere in report or registry values
@@ -24,8 +27,9 @@ import json
 import math
 import sys
 
-# Scalar fields every point's report block must carry (core/report.hpp's
-# for_each_field order; a rename there must be reflected here and in readers).
+# The scalar fields of every point's report block, no more and no fewer
+# (core/report.hpp's visit_fields order; a rename there must be reflected
+# here and in readers).
 REPORT_FIELDS = [
     "nodes", "affinity", "measure_seconds", "tpmc", "txn_rate", "txns",
     "ipc_control_per_txn", "ipc_data_per_txn", "control_msg_delay_ms",
@@ -46,6 +50,9 @@ METRIC_KINDS = {
 DISTRIBUTION_KINDS = {"tally", "histogram"}
 STATS_FIELDS = ["count", "sum", "mean", "min", "max", "stddev"]
 QUANTILE_FIELDS = ["p50", "p95", "p99"]
+
+# RunReport.transport for each config transport spec (net::TransportKind).
+TRANSPORT_CODES = {"tcp": 0, "rdma": 1}
 
 
 class SchemaError(Exception):
@@ -84,16 +91,42 @@ def check_metric(metric, where):
             check_number(metric[field], f"{where}/{name}/{field}")
 
 
+def check_config_echo(config, report, where):
+    """The report's config-derived fields must match the config it ran."""
+    for report_key, config_key in (("nodes", "nodes"),
+                                   ("affinity", "affinity"),
+                                   ("measure_seconds", "measure")):
+        require(report[report_key] == config.get(config_key),
+                f"{where}: report {report_key} {report[report_key]!r} != "
+                f"config {config_key} {config.get(config_key)!r}")
+    transport = config.get("transport")
+    require(transport in TRANSPORT_CODES,
+            f"{where}: unknown config transport {transport!r}")
+    require(report["transport"] == TRANSPORT_CODES[transport],
+            f"{where}: report transport {report['transport']!r} does not "
+            f"match config transport {transport!r}")
+    shards, shard_count = config.get("shards"), report["shard_count"]
+    check_number(shards, f"{where}/config/shards")
+    require((shard_count == 0) == (shards == 0) and shard_count <= shards,
+            f"{where}: report shard_count {shard_count!r} does not fit "
+            f"config shards {shards!r}")
+
+
 def check_point(point, idx):
     where = f"points[{idx}]"
     require(isinstance(point, dict), f"{where}: not an object")
     check_number(point.get("axis_value"), f"{where}/axis_value")
-    require(isinstance(point.get("config"), dict), f"{where}: missing config")
+    config = point.get("config")
+    require(isinstance(config, dict), f"{where}: missing config")
     report = point.get("report")
     require(isinstance(report, dict), f"{where}: missing report")
     for field in REPORT_FIELDS:
         require(field in report, f"{where}/report: missing field {field!r}")
         check_number(report[field], f"{where}/report/{field}")
+    for field in report:
+        require(field in REPORT_FIELDS,
+                f"{where}/report: unknown field {field!r}")
+    check_config_echo(config, report, where)
     registry = point.get("registry")
     require(isinstance(registry, list), f"{where}: missing registry array")
     names = set()

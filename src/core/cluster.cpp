@@ -100,7 +100,7 @@ void Cluster::build_topology() {
   tp.extra_servers_per_lata = cross_traffic ? 1 : 0;
 
   tp.host_link_rate = sim::gbps(1) / cfg_.scale;
-  tp.inter_lata_rate = (cfg_.fast_inter_lata ? sim::gbps(10) : sim::gbps(1)) / cfg_.scale;
+  tp.inter_lata_rate = sim::gbps(1) / cfg_.scale;
   tp.host_link_prop = sim::microseconds(5) * cfg_.scale;
   tp.inter_lata_prop = sim::microseconds(5) * cfg_.scale;
   tp.extra_inter_lata_latency = cfg_.extra_inter_lata_latency * cfg_.scale;
@@ -115,7 +115,7 @@ void Cluster::build_topology() {
   tp.qos.ecn_mark_threshold_bytes =
       (cfg_.ecn_marking || rdma_fabric) ? sim::kilobytes(32) : 0;
   tp.qos.scheduler = cfg_.qos.scheduler;
-  tp.qos.wfq_weight = cfg_.qos.wfq_weight;
+  tp.qos.wfq_weight = {4.0, 1.0};  // {best-effort, AF21} under kWfq
   if (cfg_.qos.wred) tp.qos.drop = net::DropPolicy::kWred;
   if (cfg_.qos.af_police_mbps > 0.0) {
     tp.qos.police[static_cast<std::size_t>(net::Dscp::kAF21)] = {
@@ -181,12 +181,7 @@ void Cluster::build_clients() {
   for (int i = 0; i < cfg_.nodes; ++i) {
     server_addrs.push_back(topo_->server_nic(i).address());
   }
-  const std::int64_t warehouses = db_->scale().warehouses;
-  const int nodes = cfg_.nodes;
-  auto owner = [warehouses, nodes](std::int64_t w) {
-    const std::int64_t idx = std::clamp<std::int64_t>(w - 1, 0, warehouses - 1);
-    return static_cast<int>(idx * nodes / warehouses);
-  };
+  const cluster::PartitionMap pm(*db_, cfg_.nodes);
 
   const int total_terminals = cfg_.nodes * cfg_.terminals_per_node;
   const int hosts = topo_->num_clients();
@@ -194,14 +189,6 @@ void Cluster::build_clients() {
   const workload::ArrivalSpec arrival =
       ycsb ? workload::parse_arrival_spec(cfg_.ycsb_arrival)
            : workload::ArrivalSpec{};
-  const std::int64_t records = std::max<std::int64_t>(db_->ycsb_records(), 1);
-  auto key_owner = [records, nodes](std::int64_t key) {
-    if (static_cast<db::Key>(key) >= db::kYcsbInsertBase) {
-      return std::clamp(db::ycsb_insert_node(key), 0, nodes - 1);
-    }
-    const std::int64_t idx = std::clamp<std::int64_t>(key, 0, records - 1);
-    return static_cast<int>(idx * nodes / records);
-  };
   int assigned = 0;
   for (int h = 0; h < hosts; ++h) {
     const int d = shards_ ? dom_.client[static_cast<std::size_t>(h)] : 0;
@@ -228,12 +215,13 @@ void Cluster::build_clients() {
       // node); each client host carries an equal share of the cluster total
       // so offered load is independent of the host count.
       yp.arrival.rate = arrival.rate * cfg_.nodes / hosts;
-      yp.max_inflight = cfg_.ycsb_max_inflight;
       yp.affinity = cfg_.affinity;
       yp.nodes = cfg_.nodes;
       yp.host_index = h;
       yp.server_addrs = server_addrs;
-      yp.owner_of_key = key_owner;
+      yp.owner_of_key = [pm](std::int64_t key) {
+        return pm.owner_of_ycsb_key(key);
+      };
       yp.start_gate = gate;
       ycsb_fleets_.push_back(std::make_unique<workload::YcsbFleet>(
           eng, *stack, std::move(yp), rngs_));
@@ -246,10 +234,12 @@ void Cluster::build_clients() {
       fp.open_loop_rate =
           cfg_.open_loop_bt_rate_per_node * cfg_.nodes / hosts;
       fp.affinity = cfg_.affinity;
-      fp.warehouses = warehouses;
+      fp.warehouses = db_->scale().warehouses;
       fp.nodes = cfg_.nodes;
       fp.server_addrs = server_addrs;
-      fp.owner_of_warehouse = owner;
+      fp.owner_of_warehouse = [pm](std::int64_t w) {
+        return pm.owner_of_warehouse(w);
+      };
       fp.start_gate = gate;
       fleets_.push_back(std::make_unique<workload::TerminalFleet>(
           eng, *stack, db_->scale(), std::move(fp), rngs_));
@@ -368,77 +358,51 @@ void Cluster::restart_node(int id) {
 }
 
 sim::DetachedTask Cluster::connect_everything() {
-  // All sessions are established concurrently (a sequential handshake chain
-  // would push cluster bring-up into the measurement window on high-latency
-  // fabrics). One duplex IPC connection per unordered node pair, plus a
-  // directed iSCSI session from every initiator to every target.
-  auto wg = std::make_shared<sim::WaitGroup>(engine_);
-  auto connect_ipc = [this, wg](int i, int j) -> sim::Task<void> {
-    auto conn = nodes_[static_cast<std::size_t>(i)]->transport().connect(
-        topo_->server_nic(j).address(), Node::ipc_port_for(i));
-    auto channel = std::make_shared<proto::MsgChannel>(conn);
-    co_await conn->established().wait();
-    nodes_[static_cast<std::size_t>(i)]->ipc().attach_peer(j, channel);
-    wg->done();
-  };
-  auto connect_iscsi = [this, wg](int i, int j) -> sim::Task<void> {
-    auto conn = nodes_[static_cast<std::size_t>(i)]->transport().connect(
-        topo_->server_nic(j).address(), Node::iscsi_port_for(i));
-    auto channel = std::make_shared<proto::MsgChannel>(conn);
-    co_await conn->established().wait();
-    nodes_[static_cast<std::size_t>(i)]->iscsi_initiator(j).attach(channel);
-    wg->done();
-  };
-  bool any = false;
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    for (int j = i + 1; j < cfg_.nodes; ++j) {
-      wg->add();
-      any = true;
-      sim::spawn(connect_ipc(i, j));
-    }
-    for (int j = 0; j < cfg_.nodes; ++j) {
-      if (i == j) continue;
-      wg->add();
-      any = true;
-      sim::spawn(connect_iscsi(i, j));
-    }
-  }
-  if (any) co_await wg->wait();
+  sim::WaitGroup wg(engine_);
+  connect_all(&wg);
+  if (cfg_.nodes > 1) co_await wg.wait();
   ready_->open();
 }
 
-// Member coroutines (not lambdas): the i/j parameters and `this` are copied
-// into the coroutine frame, so they outlive connect_everything_sharded(),
-// which returns before any of the spawned handshakes complete.
-sim::Task<void> Cluster::connect_ipc_pair(int i, int j) {
-  auto conn = nodes_[static_cast<std::size_t>(i)]->transport().connect(
-      topo_->server_nic(j).address(), Node::ipc_port_for(i));
-  auto channel = std::make_shared<proto::MsgChannel>(conn);
-  co_await conn->established().wait();
-  nodes_[static_cast<std::size_t>(i)]->ipc().attach_peer(j, channel);
-}
-
-sim::Task<void> Cluster::connect_iscsi_pair(int i, int j) {
-  auto conn = nodes_[static_cast<std::size_t>(i)]->transport().connect(
-      topo_->server_nic(j).address(), Node::iscsi_port_for(i));
-  auto channel = std::make_shared<proto::MsgChannel>(conn);
-  co_await conn->established().wait();
-  nodes_[static_cast<std::size_t>(i)]->iscsi_initiator(j).attach(channel);
-}
-
-void Cluster::connect_everything_sharded() {
-  // Same session fan-out as connect_everything(), but without the run-wide
-  // WaitGroup (a cross-engine primitive): fleets are released by per-host
-  // timed gates instead, so nothing needs to observe "all connected".
-  // Handshakes take a few RTTs; the gates open at a quarter of the warmup.
+void Cluster::connect_all(sim::WaitGroup* wg) {
+  // All sessions are established concurrently (a sequential handshake chain
+  // would push cluster bring-up into the measurement window on high-latency
+  // fabrics). One duplex IPC connection per unordered node pair, plus a
+  // directed iSCSI session from every initiator to every target. A sharded
+  // run passes no WaitGroup (a cross-engine primitive): its fleets are
+  // released by per-host timed gates instead (see run_sharded()).
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int d = server_domain(i);
     sim::DomainScope scope(domain_engine(d), static_cast<std::uint32_t>(d));
-    for (int j = i + 1; j < cfg_.nodes; ++j) sim::spawn(connect_ipc_pair(i, j));
+    for (int j = i + 1; j < cfg_.nodes; ++j) {
+      if (wg != nullptr) wg->add();
+      sim::spawn(connect_pair(i, j, false, wg));
+    }
     for (int j = 0; j < cfg_.nodes; ++j) {
-      if (i != j) sim::spawn(connect_iscsi_pair(i, j));
+      if (i == j) continue;
+      if (wg != nullptr) wg->add();
+      sim::spawn(connect_pair(i, j, true, wg));
     }
   }
+}
+
+// A member coroutine, not a lambda: the parameters and `this` are copied into
+// the coroutine frame, so they outlive connect_all(), which returns before
+// any of the spawned handshakes complete.
+sim::Task<void> Cluster::connect_pair(int i, int j, bool iscsi,
+                                      sim::WaitGroup* wg) {
+  Node& node = *nodes_[static_cast<std::size_t>(i)];
+  auto conn = node.transport().connect(
+      topo_->server_nic(j).address(),
+      iscsi ? Node::iscsi_port_for(i) : Node::ipc_port_for(i));
+  auto channel = std::make_shared<proto::MsgChannel>(conn);
+  co_await conn->established().wait();
+  if (iscsi) {
+    node.iscsi_initiator(j).attach(channel);
+  } else {
+    node.ipc().attach_peer(j, channel);
+  }
+  if (wg != nullptr) wg->done();
 }
 
 sim::DetachedTask Cluster::version_gc_loop() {
@@ -475,7 +439,7 @@ void Cluster::register_metrics() {
   // Per-shard window-protocol diagnostics: registered only when the run is
   // actually split (>1 shard). The values are wall-clock/schedule dependent
   // (blocked time, mailbox depths), so identity comparisons exclude the
-  // "shard." prefix — see scripts/check_report.py.
+  // "shard." prefix — see scripts/bench_compare.py.
   if (shards_ && shards_->shards() > 1) {
     const sim::ShardSet* ss = shards_.get();
     for (int s = 0; s < ss->shards(); ++s) {
@@ -716,7 +680,7 @@ RunReport Cluster::run() {
 
 RunReport Cluster::run_sharded() {
   prewarm();
-  connect_everything_sharded();
+  connect_all(nullptr);
   // Exactly one of the fleet vectors is populated (TPC-C terminals or YCSB
   // open-loop clients); both index hosts the same way as fleet_gates_.
   const std::size_t fleet_hosts = std::max(fleets_.size(), ycsb_fleets_.size());

@@ -121,9 +121,8 @@ class Cluster {
   void register_fault_metrics();
   void prewarm();
   sim::DetachedTask connect_everything();
-  void connect_everything_sharded();
-  sim::Task<void> connect_ipc_pair(int i, int j);
-  sim::Task<void> connect_iscsi_pair(int i, int j);
+  void connect_all(sim::WaitGroup* wg);
+  sim::Task<void> connect_pair(int i, int j, bool iscsi, sim::WaitGroup* wg);
   sim::DetachedTask version_gc_loop();
   sim::DetachedTask version_gc_loop_node(int i);
   void reset_all_stats();

@@ -64,9 +64,8 @@ struct FtpConfig {
 /// Fabric-wide QoS arrangement (the §3.4/§4 design space; the paper studies
 /// only best-effort and strict priority and leaves the rest as future work).
 struct FabricQos {
+  /// kWfq weighs best-effort 4 : 1 against AF21.
   net::QueueScheduler scheduler = net::QueueScheduler::kStrictPriority;
-  /// WFQ weights {best-effort, AF21} when scheduler == kWfq.
-  std::array<double, net::kNumDscp> wfq_weight = {4.0, 1.0};
   bool wred = false;
   /// Police the AF21 class to this unscaled rate at every queue (leaky
   /// bucket); 0 = unpoliced.
@@ -101,19 +100,9 @@ struct ClusterConfig {
   /// scaled tx/s. 0 = closed-loop terminals.
   double open_loop_bt_rate_per_node = 0.0;
 
-  /// Fraction of the database each node's buffer cache can hold.
-  double buffer_fraction = 0.75;
-  /// Data-store spindles per node (TPC-C submissions of the era used large
-  /// arrays; IO parallelism matters for the miss path).
-  int data_spindles = 96;
-  sim::Bytes version_overflow_bytes = sim::megabytes(4);
-
   /// Topology limits: 14-port routers leave room for 12 servers per LATA;
   /// the paper moves to 2 LATAs beyond 12 nodes.
   int max_servers_per_lata = 12;
-  /// Use 10 Gb/s inter-LATA links ("in a few cases, 10 Gb/s inter-lata links
-  /// had to be used since 1 Gb/s links were becoming a bottleneck").
-  bool fast_inter_lata = false;
 
   DbGrowth growth = DbGrowth::kLinear;
   /// Unclustered per-node capacity used for database sizing (tpm-C); set to
@@ -147,12 +136,14 @@ struct ClusterConfig {
   /// Requires affinity == 1.0 and a fault plan without node crash/restart
   /// (the determinism audit in DESIGN.md covers exactly that envelope).
   int shards = 0;
-  /// Debug/verification: run the window protocol round-robin on the calling
-  /// thread instead of spawning workers (the bit-identity baseline).
+  /// How a sharded run steps its window protocol. true: one worker thread
+  /// per shard. false: round-robin on the calling thread, with results
+  /// bit-identical to true; the determinism tests use it as the baseline and
+  /// perfbench's `tpcc-scale24` times it, because it does not wait on
+  /// cross-thread wake-ups.
   bool shard_parallel = true;
 
   std::uint64_t seed = 1;
-  PathLengths path_lengths;
 
   /// Fault-injection plan spec ("flaps=4,drop=0.01,crashes=1", see
   /// sim/fault/fault.hpp). Empty = no injector built, zero overhead on the
@@ -172,8 +163,6 @@ struct ClusterConfig {
   /// Override the mix's default key distribution: "uniform" | "zipfian" |
   /// "latest"; empty keeps the mix default (D = latest, others = zipfian).
   std::string ycsb_dist;
-  /// Max rows per scan (YCSB-E); actual length is uniform in [1, max].
-  int ycsb_scan_len = 50;
   /// Dynamic-shift mode: number of times the zipfian hotspot migrates during
   /// the run. Each shift rotates the keyspace by records/nodes, so the hot
   /// range marches across node partitions and the directory/affinity
@@ -182,9 +171,6 @@ struct ClusterConfig {
   /// Open-loop arrival process per node: "poisson:RATE" or "fixed:RATE",
   /// RATE in keyed ops per scaled second.
   std::string ycsb_arrival = "poisson:400";
-  /// Admission limit: ops in service per client host; arrivals beyond it
-  /// queue (unbounded FIFO) and their queue wait counts toward sojourn.
-  int ycsb_max_inflight = 256;
 
   /// Fabric transport for IPC and iSCSI sessions ("tcp" or "rdma", see
   /// net/transport.hpp). "tcp" is the paper's unified-Ethernet fabric and the

@@ -7,6 +7,14 @@
 namespace dclue::core {
 namespace {
 
+/// Fraction of the database each node's buffer cache can hold.
+constexpr double kBufferFraction = 0.75;
+/// Data-store spindles per node (TPC-C submissions of the era used large
+/// arrays; IO parallelism matters for the miss path).
+constexpr int kDataSpindles = 96;
+/// Version overflow area per node; it steals buffer-cache pages when low.
+constexpr sim::Bytes kVersionOverflowBytes = sim::megabytes(4);
+
 net::CpuCharge make_charge(cpu::Processor* proc) {
   return [proc](sim::PathLength pl, cpu::JobClass cls) -> sim::Task<void> {
     if (pl > 0.0) co_await proc->compute(pl, cls, cpu::kNoThread);
@@ -54,7 +62,7 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   // --- storage ----------------------------------------------------------------
   const storage::DiskParams disk_params = storage::DiskParams{}.scaled(cfg.scale);
   data_disk_ = std::make_unique<storage::DiskArray>(
-      engine, "data" + std::to_string(id), cfg.data_spindles, disk_params);
+      engine, "data" + std::to_string(id), kDataSpindles, disk_params);
   log_disk_ = std::make_unique<storage::Disk>(engine, "log" + std::to_string(id),
                                               disk_params);
   const proto::IscsiCostModel iscsi_costs = cfg.hw_iscsi
@@ -72,16 +80,16 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
 
   // --- database services ------------------------------------------------------
   const auto capacity = static_cast<std::size_t>(
-      std::max<double>(64.0, cfg.buffer_fraction * static_cast<double>(db_pages)));
+      std::max<double>(64.0, kBufferFraction * static_cast<double>(db_pages)));
   cache_ = std::make_unique<db::BufferCache>(capacity);
   directory_ = std::make_unique<cluster::DirectoryService>();
   locks_ = std::make_unique<db::LockManager>(engine);
-  versions_ = std::make_unique<db::VersionManager>(engine, cfg.version_overflow_bytes,
+  versions_ = std::make_unique<db::VersionManager>(engine, kVersionOverflowBytes,
                                                    *cache_);
   log_ = std::make_unique<db::LogManager>(engine, log_disk_.get());
 
   // --- IPC + fusion -----------------------------------------------------------
-  const PathLengths pl = cfg.path_lengths.with_computation_factor(cfg.computation_factor);
+  const PathLengths pl = PathLengths{}.with_computation_factor(cfg.computation_factor);
   ipc_ = std::make_unique<cluster::IpcService>(engine, id, stats_, pl.ipc_handler,
                                                make_charge(proc_.get()));
   ipc_->set_scn(global_clock);
@@ -121,11 +129,9 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   env.stats = &stats_;
   env.pl = pl;
   env.global_clock = global_clock;
-  const std::int64_t total_wh = db.scale().warehouses;
-  const int nodes = cfg.nodes;
-  env.storage_home_of_warehouse = [total_wh, nodes](std::int64_t w) {
-    const std::int64_t idx = std::clamp<std::int64_t>(w - 1, 0, total_wh - 1);
-    return static_cast<int>(idx * nodes / total_wh);
+  env.storage_home_of_warehouse = [pm = cluster::PartitionMap(db, cfg.nodes)](
+                                      std::int64_t w) {
+    return pm.owner_of_warehouse(w);
   };
   env.rng = &rng_;
   env.lock_retry_delay = sim::milliseconds(0.3) * cfg.scale;
@@ -167,7 +173,7 @@ sim::DetachedTask Node::db_accept(net::Listener& listener) {
 sim::DetachedTask Node::db_session(std::shared_ptr<net::Endpoint> conn) {
   auto channel = std::make_shared<proto::MsgChannel>(conn);
   const PathLengths pl =
-      cfg_.path_lengths.with_computation_factor(cfg_.computation_factor);
+      PathLengths{}.with_computation_factor(cfg_.computation_factor);
   for (;;) {
     proto::Message msg = co_await channel->inbox().receive();
     if (msg.type == proto::kChannelReset) co_return;
@@ -211,13 +217,6 @@ sim::DetachedTask Node::db_session(std::shared_ptr<net::Endpoint> conn) {
   }
 }
 
-void Node::reset_stats() {
-  stats_.reset();
-  proc_->reset_stats();
-  data_disk_->reset_stats();
-  log_disk_->reset_stats();
-}
-
 void Node::register_metrics(obs::MetricsRegistry& reg) {
   const std::string p = "node" + std::to_string(id_) + ".";
   stats_.register_into(reg, id_);
@@ -242,7 +241,7 @@ void Node::register_metrics(obs::MetricsRegistry& reg) {
   });
   // DB-tier data-structure probes: average open-addressing probe length
   // across the node's four flat maps, and cumulative LRU eviction scan cost
-  // (entries examined; 1 per eviction with the unpinned sublist).
+  // (entries examined; exactly 1 per eviction).
   reg.gauge_fn(p + "db.probe_len", [this] {
     const sim::ProbeStats* stats[] = {
         &cache_->probe_stats(), &locks_->probe_stats(),

@@ -90,8 +90,6 @@ class Node {
   [[nodiscard]] bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
 
-  void reset_stats();
-
   /// Bind every collector this node owns (stats, CPU, TCP, IPC classes,
   /// lock table, disks, cache and memory-system gauges) under "node<id>.".
   void register_metrics(obs::MetricsRegistry& reg);

@@ -134,39 +134,6 @@ struct NodeStats {
     reg.bind(p + "stage.in_disk", &in_disk);
     reg.bind(p + "stage.in_inflight_wait", &in_inflight_wait);
   }
-
-  /// Standalone window reset for tests and registry-less harnesses; matches
-  /// MetricsRegistry::reset_window semantics (gauges and dirty_bytes_accum
-  /// persist).
-  void reset() {
-    txns_committed.reset();
-    txns_aborted.reset();
-    new_orders_committed.reset();
-    ipc_control_sent.reset();
-    ipc_data_sent.reset();
-    ipc_control_bytes.reset();
-    ipc_data_bytes.reset();
-    control_msg_delay.reset();
-    lock_acquisitions.reset();
-    lock_waits.reset();
-    lock_failures.reset();
-    lock_wait_time.reset();
-    buffer_hits.reset();
-    buffer_misses.reset();
-    remote_fetches.reset();
-    for (auto& c : remote_by_table) c.reset();
-    for (auto& c : remote_index_by_table) c.reset();
-    for (auto& c : disk_by_table) c.reset();
-    for (auto& c : disk_index_by_table) c.reset();
-    disk_reads.reset();
-    iscsi_reads.reset();
-    t_total.reset();
-    t_phase1.reset();
-    t_locks.reset();
-    t_log.reset();
-    t_apply.reset();
-    for (auto& t : t_by_type) t.reset();
-  }
 };
 
 }  // namespace dclue::core

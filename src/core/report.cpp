@@ -48,10 +48,7 @@ void append_config(std::string& out, const ClusterConfig& c,
       {"terminals_per_node", static_cast<double>(c.terminals_per_node)},
       {"think_time", c.think_time},
       {"open_loop_bt_rate_per_node", c.open_loop_bt_rate_per_node},
-      {"buffer_fraction", c.buffer_fraction},
-      {"data_spindles", static_cast<double>(c.data_spindles)},
       {"max_servers_per_lata", static_cast<double>(c.max_servers_per_lata)},
-      {"fast_inter_lata", c.fast_inter_lata ? 1.0 : 0.0},
       {"tpmc_per_node", c.tpmc_per_node},
       {"warehouses_override", static_cast<double>(c.warehouses_override)},
       {"customers_per_district", static_cast<double>(c.customers_per_district)},
@@ -65,9 +62,7 @@ void append_config(std::string& out, const ClusterConfig& c,
       {"shard_parallel", c.shard_parallel ? 1.0 : 0.0},
       {"ycsb_records", static_cast<double>(c.ycsb_records)},
       {"ycsb_theta", c.ycsb_theta},
-      {"ycsb_scan_len", static_cast<double>(c.ycsb_scan_len)},
       {"ycsb_shift", static_cast<double>(c.ycsb_shift)},
-      {"ycsb_max_inflight", static_cast<double>(c.ycsb_max_inflight)},
       {"warmup", c.warmup},
       {"measure", c.measure},
       {"seed", static_cast<double>(c.seed)},

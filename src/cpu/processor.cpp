@@ -17,15 +17,6 @@ void Processor::thread_deactivated() {
   mem_.set_active_threads(active_threads_);
 }
 
-void Processor::reset_stats() {
-  active_threads_tw_.reset(engine_.now());
-  busy_time_.reset(engine_.now());
-  csw_cost_.reset();
-  csw_count_.reset();
-  instr_executed_.reset();
-  cycles_executed_.reset();
-}
-
 void Processor::register_metrics(obs::MetricsRegistry& reg,
                                  const std::string& prefix) {
   reg.bind(prefix + "busy_cores", &busy_time_);

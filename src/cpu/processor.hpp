@@ -77,9 +77,6 @@ class Processor {
                ? cycles_executed_.value() / instr_executed_.value()
                : 0.0;
   }
-  /// Reset measurement windows at the end of warmup.
-  void reset_stats();
-
   /// Bind this processor's collectors under \p prefix ("node0.cpu.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
 

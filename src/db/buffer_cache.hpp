@@ -9,17 +9,12 @@
 /// output of this machinery, never an input.
 ///
 /// Layout (see DESIGN.md §"DB-tier internals"): entries live in one
-/// contiguous slab threaded by two intrusive index lists — the resident
-/// recency list (front = coldest) and its unpinned sublist, kept in the same
-/// relative order. Eviction pops the unpinned head in O(1) instead of
-/// rescanning pinned-cold pages at the recency front; `lru_evict_scans`
-/// counts entries examined per eviction (always 1 now) so a regression back
-/// to scanning shows up in the registry. The unpinned sublist only starts
-/// being maintained at the first pin() ever (built once from the recency
-/// order, then kept incrementally): until then it is the recency list by
-/// definition, and touch — the per-access hot path — updates a single list.
-/// The page→slab index map is an open-addressing sim::FlatMap, so touch /
-/// insert-hit is one probe and a few index writes, no allocation.
+/// contiguous slab threaded by one intrusive index list, the recency list
+/// (front = coldest). Eviction pops its head in O(1); `lru_evict_scans`
+/// counts entries examined per eviction (always 1) so a regression to
+/// scanning shows up in the registry. The page→slab index map is an
+/// open-addressing sim::FlatMap, so touch / insert-hit is one probe and a
+/// few index writes, no allocation.
 
 #include <cstdint>
 #include <vector>
@@ -54,8 +49,8 @@ class BufferCache {
   }
   [[nodiscard]] bool resident(PageId page) const { return map_.contains(page); }
 
-  /// Record a fetched page; LRU-evicts to make room. Evicted (unpinned)
-  /// pages are returned so the coherence layer can notify their directory.
+  /// Record a fetched page; LRU-evicts to make room. Evicted pages are
+  /// returned so the coherence layer can notify their directory.
   EvictedList insert(PageId page, PageMode mode);
 
   /// Promote a resident page to exclusive (after coherence permission).
@@ -95,32 +90,10 @@ class BufferCache {
   void touch(PageId page) {
     auto it = map_.find(page);
     if (it == map_.end()) return;
-    const std::uint32_t idx = it->value;
-    lru_.move_to_tail(slab_, idx);
-    if (split_ && slab_[idx].pins == 0) unpinned_.move_to_tail(slab_, idx);
+    lru_.move_to_tail(slab_, it->value);
   }
 
-  void pin(PageId page) {
-    auto it = map_.find(page);
-    if (it == map_.end()) return;
-    if (!split_) activate_split();
-    Entry& e = slab_[it->value];
-    if (e.pins++ == 0) unpinned_.unlink(slab_, it->value);
-  }
-  void unpin(PageId page) {
-    auto it = map_.find(page);
-    if (it == map_.end() || slab_[it->value].pins == 0) return;
-    const std::uint32_t idx = it->value;
-    if (--slab_[idx].pins > 0) return;
-    // Re-enter the unpinned list at the position the recency order dictates:
-    // before the first unpinned page that is younger in the main list (cold
-    // path — the model never pins, only tests and future holders do).
-    std::uint32_t after = slab_[idx].next;
-    while (after != kNil && slab_[after].pins != 0) after = slab_[after].next;
-    unpinned_.link_before(slab_, idx, after);
-  }
-
-  /// Give up \p n unpinned pages to the version overflow area (the paper:
+  /// Give up the \p n coldest pages to the version overflow area (the paper:
   /// "unpinned pages from the buffer cache are stolen to replenish it").
   /// Returns the stolen pages; capacity shrinks accordingly.
   EvictedList steal_for_versions(std::size_t n);
@@ -132,8 +105,7 @@ class BufferCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Entries examined across all evictions (the `db.lru_evict_scans` probe:
-  /// with the unpinned list this advances by exactly 1 per eviction, pinned
-  /// front or not).
+  /// it advances by exactly 1 per eviction).
   [[nodiscard]] obs::Counter& evict_scans() { return evict_scans_; }
   [[nodiscard]] const sim::ProbeStats& probe_stats() const {
     return map_.probe_stats();
@@ -144,76 +116,54 @@ class BufferCache {
 
   struct Entry {
     PageId page = 0;
-    std::uint32_t prev = kNil, next = kNil;    ///< resident recency list
-    std::uint32_t uprev = kNil, unext = kNil;  ///< unpinned sublist
-    std::uint32_t pins = 0;
+    std::uint32_t prev = kNil, next = kNil;  ///< recency list
     std::uint32_t map_idx = 0;  ///< this page's slot in map_ (valid until rehash)
     PageMode mode = PageMode::kShared;
   };
 
-  /// One intrusive doubly-linked index list through the slab; parameterised
-  /// on which pair of link fields it threads.
-  template <std::uint32_t Entry::* Prev, std::uint32_t Entry::* Next>
+  /// The intrusive doubly-linked recency list through the slab.
   struct List {
     std::uint32_t head = kNil, tail = kNil;
 
     void push_tail(std::vector<Entry>& slab, std::uint32_t idx) {
-      slab[idx].*Prev = tail;
-      slab[idx].*Next = kNil;
+      slab[idx].prev = tail;
+      slab[idx].next = kNil;
       if (tail == kNil) {
         head = idx;
       } else {
-        slab[tail].*Next = idx;
+        slab[tail].next = idx;
       }
       tail = idx;
     }
     void unlink(std::vector<Entry>& slab, std::uint32_t idx) {
       Entry& e = slab[idx];
-      if (e.*Prev == kNil) {
-        head = e.*Next;
+      if (e.prev == kNil) {
+        head = e.next;
       } else {
-        slab[e.*Prev].*Next = e.*Next;
+        slab[e.prev].next = e.next;
       }
-      if (e.*Next == kNil) {
-        tail = e.*Prev;
+      if (e.next == kNil) {
+        tail = e.prev;
       } else {
-        slab[e.*Next].*Prev = e.*Prev;
+        slab[e.next].prev = e.prev;
       }
-      e.*Prev = kNil;
-      e.*Next = kNil;
+      e.prev = kNil;
+      e.next = kNil;
     }
     void move_to_tail(std::vector<Entry>& slab, std::uint32_t idx) {
       if (tail == idx) return;
       unlink(slab, idx);
       push_tail(slab, idx);
     }
-    /// Insert \p idx before \p before (kNil appends at the tail).
-    void link_before(std::vector<Entry>& slab, std::uint32_t idx,
-                     std::uint32_t before) {
-      if (before == kNil) {
-        push_tail(slab, idx);
-        return;
-      }
-      Entry& b = slab[before];
-      slab[idx].*Prev = b.*Prev;
-      slab[idx].*Next = before;
-      if (b.*Prev == kNil) {
-        head = idx;
-      } else {
-        slab[b.*Prev].*Next = idx;
-      }
-      b.*Prev = idx;
-    }
   };
 
-  /// Pop the least recently used unpinned page; returns 0 when none.
+  /// Pop the least recently used page; returns 0 when the cache is empty.
   PageId evict_one();
 
-  /// Unlink \p idx from both lists and recycle the slab slot (the map entry
-  /// is the caller's to erase).
+  /// Unlink \p idx from the recency list and recycle the slab slot (the map
+  /// entry is the caller's to erase).
   void drop_entry(std::uint32_t idx) {
     lru_.unlink(slab_, idx);
-    if (split_ && slab_[idx].pins == 0) unpinned_.unlink(slab_, idx);
     free_.push_back(idx);
   }
 
@@ -221,16 +171,6 @@ class BufferCache {
   void refresh_map_indices() {
     for (auto it = map_.begin(); it != map_.end(); ++it) {
       slab_[it->value].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
-    }
-  }
-
-  /// First pin ever: from here on the unpinned sublist is maintained
-  /// incrementally, seeded with the current recency order (nothing is pinned
-  /// yet at this point, so every resident page joins).
-  void activate_split() {
-    split_ = true;
-    for (std::uint32_t i = lru_.head; i != kNil; i = slab_[i].next) {
-      unpinned_.push_tail(slab_, i);
     }
   }
 
@@ -253,9 +193,7 @@ class BufferCache {
   sim::FlatMap<PageId, std::uint32_t> map_;  ///< page → slab index
   std::vector<Entry> slab_;
   std::vector<std::uint32_t> free_;
-  List<&Entry::prev, &Entry::next> lru_;        ///< head = coldest resident
-  List<&Entry::uprev, &Entry::unext> unpinned_;  ///< same order, unpinned only
-  bool split_ = false;  ///< unpinned_ maintained (first pin seen)
+  List lru_;  ///< head = coldest resident
   obs::Counter evict_scans_;
 };
 
@@ -272,7 +210,6 @@ inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) 
     const std::uint32_t idx = it->value;
     if (mode == PageMode::kExclusive) slab_[idx].mode = PageMode::kExclusive;
     lru_.move_to_tail(slab_, idx);
-    if (split_ && slab_[idx].pins == 0) unpinned_.move_to_tail(slab_, idx);
     return evicted;
   }
   // Assign the slab slot and record where the map put this page before
@@ -283,16 +220,15 @@ inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) 
   slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
   while (map_.size() > capacity_) {
     PageId victim = evict_one();  // never the new page: it is list-linked below
-    if (victim == 0) break;  // everything pinned; allow transient overcommit
+    if (victim == 0) break;  // nothing else resident (capacity 0)
     evicted.push_back(victim);
   }
   lru_.push_tail(slab_, idx);
-  if (split_) unpinned_.push_tail(slab_, idx);
   return evicted;
 }
 
 inline PageId BufferCache::evict_one() {
-  const std::uint32_t idx = split_ ? unpinned_.head : lru_.head;
+  const std::uint32_t idx = lru_.head;
   if (idx == kNil) return 0;
   evict_scans_.record();
   const PageId victim = slab_[idx].page;

@@ -83,12 +83,6 @@ class FtpClient {
     return static_cast<sim::Bytes>(bytes_carried_.count());
   }
   [[nodiscard]] const obs::Tally& transfer_time() const { return transfer_time_; }
-  void reset_stats() {
-    completed_.reset();
-    aborted_.reset();
-    bytes_carried_.reset();
-    transfer_time_.reset();
-  }
 
   /// Bind this client's collectors under \p prefix ("ftp.client<i>.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {

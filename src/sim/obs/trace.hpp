@@ -8,14 +8,10 @@
 ///
 /// Overhead contract — the disabled path must preserve the zero-allocation
 /// datapath guarantees (0.00 heap allocs/segment, 5.333 events/segment in
-/// bench/micro_datapath):
-///
-///   - compile-time kill switch: build with -DDCLUE_TRACING_ENABLED=0
-///     (cmake -DDCLUE_TRACING=OFF) and every DCLUE_TRACE_* macro expands to
-///     `((void)0)` — the probe arguments are never evaluated,
-///   - runtime kill switch: tracing is OFF by default; each probe is one
-///     thread-local load plus a null check when no tracer is installed.
-///     No engine events, no allocations, no stores on the disabled path.
+/// bench/micro_datapath): tracing is OFF until a tracer is installed, and
+/// until then each probe is one thread-local load plus a null check. The
+/// probe arguments are not evaluated, and there are no engine events, no
+/// allocations and no stores on the disabled path.
 ///
 /// Probe sites pass string literals for `cat`/`name` (the tracer stores the
 /// pointers, not copies) and the current simulated time; the only allocation
@@ -30,10 +26,6 @@
 #include <vector>
 
 #include "sim/units.hpp"
-
-#ifndef DCLUE_TRACING_ENABLED
-#define DCLUE_TRACING_ENABLED 1
-#endif
 
 namespace dclue::obs {
 
@@ -121,10 +113,9 @@ class TracerScope {
 }  // namespace dclue::obs
 
 // ---------------------------------------------------------------------------
-// Probe macros. With DCLUE_TRACING_ENABLED=0 the arguments are not evaluated.
+// Probe macros. Without an installed tracer the arguments are not evaluated.
 // ---------------------------------------------------------------------------
 
-#if DCLUE_TRACING_ENABLED
 #define DCLUE_TRACE_SPAN(cat, name, t0, t1, tid)                        \
   do {                                                                  \
     if (::dclue::obs::Tracer* dclue_tr_ = ::dclue::obs::tracer())       \
@@ -140,8 +131,3 @@ class TracerScope {
     if (::dclue::obs::Tracer* dclue_tr_ = ::dclue::obs::tracer())       \
       dclue_tr_->record_counter((cat), (name), (now), (value), (tid));  \
   } while (0)
-#else
-#define DCLUE_TRACE_SPAN(cat, name, t0, t1, tid) ((void)0)
-#define DCLUE_TRACE_INSTANT(cat, name, now, tid) ((void)0)
-#define DCLUE_TRACE_COUNTER(cat, name, now, value, tid) ((void)0)
-#endif

@@ -192,7 +192,7 @@ class ShardSet final : public CrossDomainRouter {
              std::uint64_t key, InlineFn<void()> fn) override;
 
   /// Per-shard runtime diagnostics (wall-clock, schedule-dependent — excluded
-  /// from bit-identity comparisons; see scripts/check_report.py).
+  /// from bit-identity comparisons; see scripts/bench_compare.py).
   struct ShardStats {
     std::uint64_t windows = 0;        ///< conservative windows executed
     std::uint64_t blocked_spins = 0;  ///< safe-horizon checks that made no progress

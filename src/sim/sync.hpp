@@ -2,7 +2,7 @@
 
 /// \file sync.hpp
 /// Awaitable coordination primitives for simulation coroutines: one-shot
-/// gates, counting semaphores, typed mailboxes, and a wait-group. Resumption
+/// gates, typed mailboxes, single-waiter signals, and a wait-group. Resumption
 /// is deferred through the engine (never inline from the signaling site) so
 /// that model code observes a consistent "events fire from the scheduler"
 /// discipline and waker/wakee ordering stays deterministic.
@@ -63,49 +63,6 @@ class Gate {
  private:
   Engine& engine_;
   bool open_ = false;
-  Ring<std::coroutine_handle<>> waiters_;
-};
-
-/// Counting semaphore with FIFO wakeup. Models finite resources (version
-/// overflow space, connection backlog, ...).
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::size_t initial) : engine_(engine), count_(initial) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore& sem;
-      bool await_ready() {
-        if (sem.count_ > 0) {
-          --sem.count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      detail::resume_via_engine(engine_, h);
-    } else {
-      ++count_;
-    }
-  }
-
-  [[nodiscard]] std::size_t available() const { return count_; }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Engine& engine_;
-  std::size_t count_;
   Ring<std::coroutine_handle<>> waiters_;
 };
 

@@ -105,44 +105,11 @@ sim::DetachedTask TerminalFleet::open_loop_arrivals() {
 
 sim::DetachedTask TerminalFleet::one_business_txn(std::int64_t w, int server) {
   ++inflight_;
-  const sim::Time t0 = engine_.now();
   TpccInputGenerator gen(
       scale_, rngs_.stream("open-gen", next_arrival_ * 131 +
                                            static_cast<std::uint64_t>(
                                                params_.first_terminal_index)));
-  auto conn = stack_.connect(params_.server_addrs[static_cast<std::size_t>(server)],
-                             kDbPort);
-  auto channel = std::make_shared<proto::MsgChannel>(conn);
-  ++stuck_connecting;
-  co_await conn->established().wait();
-  --stuck_connecting;
-  if (conn->state() == net::TcpConnection::State::kClosed) {
-    ++conn_failures_;
-    --inflight_;
-    co_return;
-  }
-  bool ok = true;
-  for (const TxnInput& input : gen.business_transaction(w)) {
-    proto::Message req;
-    req.type = kClientRequest;
-    req.bytes = kRequestBytes;
-    req.payload = std::make_shared<ClientRequestBody>(ClientRequestBody{input});
-    channel->send(std::move(req));
-    ++stuck_receiving;
-    proto::Message reply = co_await channel->inbox().receive();
-    --stuck_receiving;
-    if (reply.type >= proto::kChannelClosed) {
-      ok = false;
-      break;
-    }
-  }
-  if (ok) {
-    ++completed_;
-    bt_time_.record(engine_.now() - t0);
-    if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
-  } else {
-    ++conn_failures_;
-  }
+  co_await business_txn(gen, w, server);
   --inflight_;
 }
 
@@ -163,34 +130,34 @@ sim::DetachedTask TerminalFleet::terminal_loop(int t) {
     const int server = rng.chance(params_.affinity)
                            ? home
                            : static_cast<int>(rng.uniform_int(0, params_.nodes - 1));
-    auto conn = stack_.connect(params_.server_addrs[static_cast<std::size_t>(server)],
-                               kDbPort);
-    auto channel = std::make_shared<proto::MsgChannel>(conn);
-    co_await conn->established().wait();
-    if (conn->state() == net::TcpConnection::State::kClosed) {
+    co_await business_txn(gen, w, server);
+  }
+}
+
+sim::Task<void> TerminalFleet::business_txn(TpccInputGenerator& gen,
+                                            std::int64_t w, int server) {
+  auto conn = stack_.connect(params_.server_addrs[static_cast<std::size_t>(server)],
+                             kDbPort);
+  auto channel = std::make_shared<proto::MsgChannel>(conn);
+  co_await conn->established().wait();
+  if (conn->state() == net::TcpConnection::State::kClosed) {
+    ++conn_failures_;
+    co_return;
+  }
+  for (const TxnInput& input : gen.business_transaction(w)) {
+    proto::Message req;
+    req.type = kClientRequest;
+    req.bytes = kRequestBytes;
+    req.payload = std::make_shared<ClientRequestBody>(ClientRequestBody{input});
+    channel->send(std::move(req));
+    proto::Message reply = co_await channel->inbox().receive();
+    if (reply.type >= proto::kChannelClosed) {
       ++conn_failures_;
-      continue;
-    }
-    bool ok = true;
-    for (const TxnInput& input : gen.business_transaction(w)) {
-      proto::Message req;
-      req.type = kClientRequest;
-      req.bytes = kRequestBytes;
-      req.payload = std::make_shared<ClientRequestBody>(ClientRequestBody{input});
-      channel->send(std::move(req));
-      proto::Message reply = co_await channel->inbox().receive();
-      if (reply.type >= proto::kChannelClosed) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      ++completed_;
-      if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
-    } else {
-      ++conn_failures_;
+      co_return;
     }
   }
+  ++completed_;
+  if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
 }
 
 }  // namespace dclue::workload

@@ -109,7 +109,6 @@ class TerminalFleet {
   [[nodiscard]] std::uint64_t business_txns_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t connection_failures() const { return conn_failures_; }
   [[nodiscard]] std::uint64_t admission_drops() const { return admission_drops_; }
-  [[nodiscard]] const obs::Tally& bt_time() const { return bt_time_; }
   [[nodiscard]] std::uint64_t arrivals() const { return next_arrival_; }
   [[nodiscard]] int inflight() const { return inflight_; }
 
@@ -117,6 +116,11 @@ class TerminalFleet {
   sim::DetachedTask terminal_loop(int t);
   sim::DetachedTask open_loop_arrivals();
   sim::DetachedTask one_business_txn(std::int64_t w, int server);
+  /// One business transaction on its own connection to \p server: connect,
+  /// then request/reply per transaction, then close. Counts the completion
+  /// or the connection failure.
+  sim::Task<void> business_txn(TpccInputGenerator& gen, std::int64_t w,
+                               int server);
 
   sim::Engine& engine_;
   net::TcpStack& stack_;
@@ -128,17 +132,13 @@ class TerminalFleet {
   std::uint64_t admission_drops_ = 0;
   int inflight_ = 0;
   std::uint64_t next_arrival_ = 0;
-  obs::Tally bt_time_;
-
- public:
-  // Debug visibility: where in the protocol in-flight business txns sit.
-  int stuck_connecting = 0;
-  int stuck_receiving = 0;
 };
 
 struct YcsbFleetParams {
   YcsbSpec spec;
   ArrivalSpec arrival;  ///< rate already divided down to this fleet's share
+  /// Admission limit: ops in service on this host; arrivals beyond it queue
+  /// (unbounded FIFO) and their queue wait counts toward sojourn.
   int max_inflight = 256;
   double affinity = 1.0;
   int nodes = 1;

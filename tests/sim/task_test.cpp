@@ -96,27 +96,6 @@ TEST(Gate, WaitOnOpenGateDoesNotSuspend) {
   EXPECT_TRUE(done);
 }
 
-TEST(Semaphore, LimitsConcurrency) {
-  Engine e;
-  Semaphore sem(e, 2);
-  int peak = 0;
-  int current = 0;
-  for (int i = 0; i < 5; ++i) {
-    spawn([](Engine& eng, Semaphore& s, int& cur, int& pk) -> Task<void> {
-      co_await s.acquire();
-      ++cur;
-      pk = std::max(pk, cur);
-      co_await delay_for(eng, 1.0);
-      --cur;
-      s.release();
-    }(e, sem, current, peak));
-  }
-  e.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(current, 0);
-  EXPECT_EQ(sem.available(), 2u);
-}
-
 TEST(Mailbox, DeliversInFifoOrder) {
   Engine e;
   Mailbox<int> box(e);

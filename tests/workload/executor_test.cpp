@@ -52,7 +52,7 @@ struct MiniNode {
     env.log = &node->log_manager();
     env.proc = &node->processor();
     env.stats = stats;
-    env.pl = cfg.path_lengths;
+    env.pl = core::PathLengths{};
     env.global_clock = &clock;
     env.storage_home_of_warehouse = [](std::int64_t) { return 0; };
     env.rng = &rng;
