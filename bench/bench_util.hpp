@@ -88,9 +88,6 @@ class Sweep {
     return cfgs_.size() - 1;
   }
   void run() { reports_ = core::run_experiments(cfgs_); }
-  void run_avg(int replications) {
-    reports_ = core::run_experiments_avg(cfgs_, replications);
-  }
   const core::RunReport& operator[](std::size_t i) const {
     return reports_.at(i);
   }

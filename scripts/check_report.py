@@ -13,6 +13,7 @@ Checks:
   - per point, the report agrees with its config echo: nodes, affinity,
     measure_seconds (= measure), transport (0 = tcp, 1 = rdma), and
     shard_count (0 exactly when shards is 0, never more than shards)
+  - per point, the run did work: txns or ycsb_ops is above 0
   - per registry metric: name, known kind, finite numeric value; distribution
     kinds (tally, histogram) carry the stats block; histograms carry quantiles
   - all finite: no NaN/Inf anywhere in report or registry values
@@ -127,6 +128,8 @@ def check_point(point, idx):
         require(field in REPORT_FIELDS,
                 f"{where}/report: unknown field {field!r}")
     check_config_echo(config, report, where)
+    require(report["txns"] > 0 or report["ycsb_ops"] > 0,
+            f"{where}: the point did no work (txns and ycsb_ops are 0)")
     registry = point.get("registry")
     require(isinstance(registry, list), f"{where}: missing registry array")
     names = set()

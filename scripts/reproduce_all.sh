@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Reproduce the full study: build, test, and run every figure bench.
+# Reproduce the full study: build, test, and run every bench.
 # Usage: scripts/reproduce_all.sh [outdir]   (REPRO_FAST=1 for quick runs)
 #
 # Reuses build/ as configured (any generator); a fresh build/ gets Ninja
 # when it is installed. Every bench runs with outdir as its working
-# directory, so the BENCH_*.json files the micro benches write land there
-# and never overwrite the committed baselines at the repo root. The wall
-# time of every bench and of the whole bench loop goes to
-# outdir/BENCH_e2e.json, with the machine's nproc and the git revision.
+# directory and writes outdir/REPORT_<bench>.json, and every REPORT is
+# validated at the end. The wall time of every bench and of the whole bench
+# loop goes to outdir/BENCH_e2e.json, with the machine's nproc and the git
+# revision.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-results}"
@@ -29,15 +29,7 @@ for b in "$PWD"/build/bench/*; do
   name="$(basename "$b")"
   echo "=== $name ==="
   start="$(date +%s.%N)"
-  case "$name" in
-    micro_*)
-      # Micro benches write their own BENCH_*.json into the working dir.
-      (cd "$OUT" && "$b") | tee "$OUT/$name.txt"
-      ;;
-    *)
-      (cd "$OUT" && "$b" --report="$OUT/REPORT_$name.json") | tee "$OUT/$name.txt"
-      ;;
-  esac
+  (cd "$OUT" && "$b" --report="$OUT/REPORT_$name.json") | tee "$OUT/$name.txt"
   walls+=("$name $start $(date +%s.%N)")
 done
 python3 - "$OUT/BENCH_e2e.json" "$(git rev-parse HEAD 2>/dev/null || echo none)" \

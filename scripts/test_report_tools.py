@@ -98,6 +98,11 @@ class BenchCompareReports(ReportToolTest):
         del doc["points"][1]
         self.assertEqual(self.compare(doc), 1)
 
+    def test_non_report_input_is_rejected(self):
+        flat = self.write("flat.json", {"bulk_allocs_per_segment_after": 0.0})
+        self.assertEqual(self.run_script("bench_compare.py", flat, flat), 2)
+        self.assertEqual(self.compare({"points": []}), 2)
+
 
 class CheckReport(ReportToolTest):
     def test_valid_report_passes(self):
@@ -122,6 +127,16 @@ class CheckReport(ReportToolTest):
         doc = make_report()
         doc["points"][0]["report"]["nodes"] = 8
         self.assertEqual(self.check(doc), 1)
+
+    def test_point_without_work_fails(self):
+        doc = make_report()
+        doc["points"][1]["report"]["txns"] = 0
+        self.assertEqual(self.check(doc), 1)
+
+    def test_ycsb_point_passes(self):
+        doc = make_report()
+        doc["points"][1]["report"].update(txns=0, ycsb_ops=120.0)
+        self.assertEqual(self.check(doc), 0)
 
 
 if __name__ == "__main__":

@@ -721,7 +721,7 @@ RunReport Cluster::collect(sim::Duration measured) {
 
   double committed = 0, aborted = 0, new_orders = 0;
   double ctrl = 0, data = 0;
-  double lock_acq = 0, lock_waits = 0, lock_failures = 0;
+  double lock_waits = 0, lock_failures = 0;
   obs::Tally lock_wait_all, ctrl_delay_all;
   double hits = 0, misses = 0, disk_reads = 0, remote = 0;
   obs::Tally t_total, t_phase1, t_locks, t_log, t_apply;
@@ -733,7 +733,6 @@ RunReport Cluster::collect(sim::Duration measured) {
     new_orders += static_cast<double>(s.new_orders_committed.count());
     ctrl += static_cast<double>(s.ipc_control_sent.count());
     data += static_cast<double>(s.ipc_data_sent.count());
-    lock_acq += static_cast<double>(s.lock_acquisitions.count());
     lock_waits += static_cast<double>(s.lock_waits.count());
     lock_failures += static_cast<double>(s.lock_failures.count());
     lock_wait_all.merge(s.lock_wait_time);

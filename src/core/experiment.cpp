@@ -49,18 +49,6 @@ std::vector<RunReport> run_experiments(const std::vector<ClusterConfig>& cfgs) {
   return run_experiments(cfgs, sim::sweep_jobs());
 }
 
-std::vector<RunReport> run_experiments_avg(const std::vector<ClusterConfig>& cfgs,
-                                           int replications, int jobs) {
-  return sim::sweep_map<RunReport>(cfgs.size(), jobs, [&](std::size_t i) {
-    return run_experiment_avg(cfgs[i], replications);
-  });
-}
-
-std::vector<RunReport> run_experiments_avg(const std::vector<ClusterConfig>& cfgs,
-                                           int replications) {
-  return run_experiments_avg(cfgs, replications, sim::sweep_jobs());
-}
-
 ClusterConfig default_config() {
   ClusterConfig cfg;
   if (const char* fast = std::getenv("REPRO_FAST"); fast && fast[0] == '1') {

@@ -31,13 +31,6 @@ std::vector<RunReport> run_experiments(const std::vector<ClusterConfig>& cfgs);
 std::vector<RunReport> run_experiments(const std::vector<ClusterConfig>& cfgs,
                                        int jobs);
 
-/// Sweep-pool version of run_experiment_avg: replications of one point stay
-/// serial (the seed chain is sequential) but points run concurrently.
-std::vector<RunReport> run_experiments_avg(const std::vector<ClusterConfig>& cfgs,
-                                           int replications);
-std::vector<RunReport> run_experiments_avg(const std::vector<ClusterConfig>& cfgs,
-                                           int replications, int jobs);
-
 /// Column-oriented series printer.
 class SeriesTable {
  public:

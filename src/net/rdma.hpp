@@ -35,8 +35,8 @@
 ///     progress, and a clean fabric never sees a rate reduction.
 ///   - Zero steady-state allocations. The whole datapath — transmit pump,
 ///     frame demux, ack processing — is plain function calls; no coroutine
-///     frame is ever created per frame or per message (enforced by
-///     bench/micro_transport.cpp at tolerance 0).
+///     frame is ever created per frame or per message (checked by
+///     ZeroAlloc.MsgChannelStreamSteadyState, tests/alloc).
 ///
 /// What is deliberately shared with TCP: frames ride the same links, router
 /// queues, QoS schedulers, and fault hooks (Packet::proto == kProtoRdma is

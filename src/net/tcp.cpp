@@ -53,9 +53,9 @@ TcpListener& TcpStack::listen(std::uint16_t port) {
 
 void TcpStack::on_packet(Packet pkt) {
   // Zero-cost fast path: when the receive charge is zero (hardware offload,
-  // microbenchmarks), awaiting it is a no-op by the charge contract (a zero
-  // path length must charge nothing — see core::make_charge), so the segment
-  // is processed fully synchronously with no coroutine frame at all.
+  // the zero-allocation tests), awaiting it is a no-op by the charge contract
+  // (a zero path length must charge nothing — see core::make_charge), so the
+  // segment is processed fully synchronously with no coroutine frame at all.
   const sim::PathLength cost =
       costs_.per_segment_rx +
       static_cast<double>(pkt.seg.len) * costs_.per_byte_rx;

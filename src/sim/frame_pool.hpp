@@ -70,7 +70,7 @@ class FramePool {
     free_[cls - 1] = node;
   }
 
-  /// --- instrumentation (the datapath bench asserts steady-state hits) ----
+  /// --- instrumentation (the unit tests assert steady-state hits) ---------
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   [[nodiscard]] std::uint64_t oversize() const { return oversize_; }

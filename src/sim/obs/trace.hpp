@@ -7,11 +7,11 @@
 /// timestamps convert to microseconds on export.
 ///
 /// Overhead contract — the disabled path must preserve the zero-allocation
-/// datapath guarantees (0.00 heap allocs/segment, 5.333 events/segment in
-/// bench/micro_datapath): tracing is OFF until a tracer is installed, and
-/// until then each probe is one thread-local load plus a null check. The
-/// probe arguments are not evaluated, and there are no engine events, no
-/// allocations and no stores on the disabled path.
+/// datapath guarantees (0 heap allocations and 5.333 events per segment,
+/// ZeroAlloc.TcpBulkTransferSteadyState): tracing is OFF until a tracer is
+/// installed, and until then each probe is one thread-local load plus a null
+/// check. The probe arguments are not evaluated, and there are no engine
+/// events, no allocations and no stores on the disabled path.
 ///
 /// Probe sites pass string literals for `cat`/`name` (the tracer stores the
 /// pointers, not copies) and the current simulated time; the only allocation

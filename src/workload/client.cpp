@@ -81,13 +81,18 @@ sim::DetachedTask YcsbFleet::one_op(PendingOp p) {
   if (next) one_op(*next);
 }
 
+/// Safety valve for open-loop overload (the admission control the paper
+/// says "needs to be in place"): arrivals beyond this many in-flight
+/// business transactions are dropped.
+constexpr int kMaxOpenLoopInflight = 400;
+
 sim::DetachedTask TerminalFleet::open_loop_arrivals() {
   sim::Rng rng = rngs_.stream("open-loop",
                               static_cast<std::uint64_t>(params_.first_terminal_index));
   if (params_.start_gate) co_await params_.start_gate->wait();
   for (;;) {
     co_await sim::delay_for(engine_, rng.exponential(1.0 / params_.open_loop_rate));
-    if (inflight_ >= params_.max_inflight) {
+    if (inflight_ >= kMaxOpenLoopInflight) {
       ++admission_drops_;
       continue;
     }

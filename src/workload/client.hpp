@@ -76,10 +76,6 @@ struct TerminalFleetParams {
   /// Poisson process at this rate (per fleet, scaled) regardless of
   /// completions. 0 = closed loop.
   double open_loop_rate = 0.0;
-  /// Safety valve for open-loop overload (the admission control the paper
-  /// says "needs to be in place"): arrivals beyond this many in-flight
-  /// business transactions are dropped.
-  int max_inflight = 400;
   double affinity = 1.0;
   std::int64_t warehouses = 1;
   int nodes = 1;
@@ -137,9 +133,6 @@ class TerminalFleet {
 struct YcsbFleetParams {
   YcsbSpec spec;
   ArrivalSpec arrival;  ///< rate already divided down to this fleet's share
-  /// Admission limit: ops in service on this host; arrivals beyond it queue
-  /// (unbounded FIFO) and their queue wait counts toward sojourn.
-  int max_inflight = 256;
   double affinity = 1.0;
   int nodes = 1;
   int host_index = 0;  ///< RNG stream index (one fleet per client host)
@@ -150,7 +143,7 @@ struct YcsbFleetParams {
 
 /// Open-loop keyed-op clients for one host. Arrivals are generated by the
 /// configured process regardless of completions (offered load is an input);
-/// the admission queue bounds ops in service at max_inflight and holds the
+/// the admission queue bounds ops in service at kMaxInflight and holds the
 /// overflow in FIFO order, so overload appears as queue depth and sojourn
 /// growth, never as a throttled arrival process.
 class YcsbFleet {
@@ -166,7 +159,7 @@ class YcsbFleet {
                           static_cast<std::uint64_t>(params_.host_index)),
              rngs_.stream("ycsb-key",
                           static_cast<std::uint64_t>(params_.host_index))),
-        admission_(params_.max_inflight) {}
+        admission_(kMaxInflight) {}
 
   void start() { arrival_loop(); }
 
@@ -188,6 +181,10 @@ class YcsbFleet {
   }
 
  private:
+  /// Admission limit: ops in service on this host; arrivals beyond it queue
+  /// (unbounded FIFO) and their queue wait counts toward sojourn.
+  static constexpr int kMaxInflight = 256;
+
   struct PendingOp {
     YcsbOp op;
     int server = 0;

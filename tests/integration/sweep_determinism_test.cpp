@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -28,12 +30,38 @@ std::vector<ClusterConfig> small_grid() {
   return cfgs;
 }
 
+/// Registry metrics in snapshot order, without the "shard." window-protocol
+/// gauges (they measure the schedule, not the simulation).
+std::vector<const obs::MetricValue*> model_metrics(const RunReport& r) {
+  std::vector<const obs::MetricValue*> out;
+  for (const obs::MetricValue& m : r.registry.metrics) {
+    if (m.name.rfind("shard.", 0) != 0) out.push_back(&m);
+  }
+  return out;
+}
+
+/// Every report scalar and every field of every registry metric outside
+/// "shard." must be equal.
 void expect_identical(const RunReport& a, const RunReport& b, std::size_t i) {
   visit_fields(
       [i](const char* name, const auto& x, const auto& y) {
         EXPECT_EQ(x, y) << "point " << i << " diverged in " << name;
       },
       a, b);
+  const auto ma = model_metrics(a);
+  const auto mb = model_metrics(b);
+  ASSERT_EQ(ma.size(), mb.size()) << "point " << i << " registry size";
+  for (std::size_t k = 0; k < ma.size(); ++k) {
+    const obs::MetricValue& x = *ma[k];
+    const obs::MetricValue& y = *mb[k];
+    ASSERT_EQ(x.name, y.name) << "point " << i << " registry order";
+    const auto fields = [](const obs::MetricValue& m) {
+      return std::tuple(m.kind, m.value, m.count, m.sum, m.mean, m.min, m.max,
+                        m.stddev, m.p50, m.p95, m.p99);
+    };
+    EXPECT_EQ(fields(x), fields(y))
+        << "point " << i << " diverged in registry " << x.name;
+  }
 }
 
 TEST(SweepDeterminism, ParallelMatchesSerialBitForBit) {
@@ -143,6 +171,44 @@ TEST(SweepDeterminism, ShardedFaultedPointMatchesSerialWindows) {
     expect_identical(serial[i], parallel[i], i);
   }
   EXPECT_GT(serial[0].txns, 0.0);
+}
+
+TEST(SweepDeterminism, ShardedMailboxesStopGrowing) {
+  // Each cross-shard mailbox recycles its spent nodes, so once it reaches its
+  // working-set depth it never allocates again: doubling the measure window
+  // carries more envelopes through the same number of mailbox nodes. Six
+  // nodes on four shards with serial windows reach that depth within 3 s
+  // (three nodes on fewer warehouses still grow their mailboxes after 3 s).
+  auto cfg = [](double measure) {
+    ClusterConfig c;
+    c.nodes = 6;
+    c.affinity = 1.0;
+    c.warehouses_override = 12;
+    c.customers_per_district = 60;
+    c.items = 200;
+    c.terminals_per_node = 8;
+    c.warmup = 1.0;
+    c.measure = measure;
+    c.seed = 23;
+    c.shards = 4;
+    c.shard_parallel = false;
+    return c;
+  };
+  const std::vector<RunReport> runs =
+      run_experiments({cfg(3.0), cfg(6.0)}, /*jobs=*/1);
+  auto sum = [](const RunReport& r, const char* leaf) {
+    double total = 0.0;
+    for (int s = 0; s < r.shard_count; ++s) {
+      const auto* m = r.registry.find("shard." + std::to_string(s) + "." + leaf);
+      EXPECT_NE(m, nullptr) << "shard." << s << "." << leaf;
+      if (m != nullptr) total += m->value;
+    }
+    return total;
+  };
+  ASSERT_EQ(runs[0].shard_count, 4);
+  EXPECT_GT(sum(runs[1], "envelopes_in"), sum(runs[0], "envelopes_in"));
+  EXPECT_GT(sum(runs[0], "mailbox_nodes"), 0.0);
+  EXPECT_EQ(sum(runs[1], "mailbox_nodes"), sum(runs[0], "mailbox_nodes"));
 }
 
 // --- YCSB workload determinism ---------------------------------------------

@@ -185,7 +185,7 @@ TEST(InlineFn, AllocatesNothingOnAssignmentOrCall) {
   Big big{};
   InlineFn<void(), 96> fn = [big]() { (void)big; };
   fn();  // nothing to assert beyond "this compiled and runs without heap use";
-         // allocation accounting is asserted end-to-end by bench/micro_datapath
+         // allocation accounting is asserted end to end by tests/alloc
 }
 
 // ---------------------------------------------------------------------------
