@@ -620,35 +620,11 @@ void Cluster::prewarm() {
     const int dh = node.fusion().dir_home(page);
     nodes_[static_cast<std::size_t>(dh)]->directory().confirm(page, home);
   };
+  // A table's data pages, then its index leaf pages, each in key order.
   auto warm_table = [&](const auto& table) {
-    if (table.spec().clustered) {
-      // Pages are keyed; enumerate them through the index.
-      db::PageId last = 0;
-      for (auto it = table.lower_bound(0); it.valid(); it.next()) {
-        const db::PageId page = table.data_page_of_key(it.key());
-        if (page != last) {
-          warm_page(page, pm.home_of_page(page));
-          last = page;
-        }
-      }
-    } else {
-      for (std::uint64_t p = 0; p < table.data_pages(); ++p) {
-        const db::PageId page = db::make_page_id(table.spec().id, false, p);
-        warm_page(page, pm.home_of_page(page));
-      }
-    }
-    // Index leaf pages are key-range derived; enumerate them the same way
-    // the access path does.
-    db::PageId last_leaf = 0;
-    bool first_leaf = true;
-    for (auto it = table.lower_bound(0); it.valid(); it.next()) {
-      const db::PageId page = table.index_page_of(it.key());
-      if (first_leaf || page != last_leaf) {
-        warm_page(page, pm.home_of_page(page));
-        last_leaf = page;
-        first_leaf = false;
-      }
-    }
+    auto warm = [&](db::PageId page) { warm_page(page, pm.home_of_page(page)); };
+    table.for_each_data_page(warm);
+    table.for_each_index_page(warm);
   };
 
   warm_table(db_->warehouse);

@@ -14,6 +14,13 @@
 /// descend them with the same upper-bound search, so no second structure
 /// has to agree with the tree on which leaf owns a key range.
 ///
+/// Keys above every stored key take an append path: the tree tracks its last
+/// leaf, and when that leaf and every inner node above it have room, the key
+/// is written straight into the leaf. That is exactly where the descent would
+/// put it, and the descent would split nothing, so both paths build the same
+/// tree; table population (each table loads in ascending key order) skips
+/// the root-to-leaf search on all but one insert per leaf.
+///
 /// Nodes come from a per-tree pool (std::deque slabs + free list): churny
 /// workloads (new-order insert / delivery erase) recycle nodes instead of
 /// round-tripping the allocator, and teardown is one deque destruction
@@ -42,6 +49,7 @@ class BTree {
   BTree() {
     root_ = alloc_node(/*leaf=*/true);
     first_leaf_ = root_;
+    last_leaf_ = root_;
   }
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -50,6 +58,14 @@ class BTree {
 
   /// Insert or overwrite.
   void insert(Key key, Value value) {
+    if (append_fits(key)) {
+      Node* last = last_leaf_;
+      last->keys[last->count] = key;
+      last->vals()[last->count] = value;
+      ++last->count;
+      ++size_;
+      return;
+    }
     Node* r = root_;
     if (r->count == Fanout) {
       Node* new_root = alloc_node(false);
@@ -214,15 +230,37 @@ class BTree {
     free_.push_back(n);
   }
 
+  /// Whether \p key can go straight into the last leaf: it is above every
+  /// stored key (the last leaf holds the maximum; an empty tree takes the
+  /// descent), and neither that leaf nor any inner node above it is full,
+  /// so the descent would reach the same slot and split nothing. Checking
+  /// the right spine follows one child pointer per level, no key search.
+  [[nodiscard]] bool append_fits(Key key) const {
+    const Node* last = last_leaf_;
+    if (last->count == 0 || last->count == Fanout ||
+        !(key > last->keys[last->count - 1])) {
+      return false;
+    }
+    const Node* n = root_;
+    for (; !n->leaf; n = n->kids()[n->count]) {
+      if (n->count == Fanout) return false;
+    }
+    assert(n == last_leaf_);
+    return true;
+  }
+
   /// Detach the emptied leaf at the bottom of \p path from its parent,
   /// cascading upward while parents run out of children; collapse
   /// single-child inner roots afterwards.
   void retire(Node* n, const std::array<Node*, kMaxDepth>& path,
               const std::array<int, kMaxDepth>& slot, int depth) {
-    // Unlink from the leaf chain.
+    // Unlink from the leaf chain. A non-root leaf always has a sibling, so
+    // a retired last leaf hands the role to its predecessor.
     if (n->prev != nullptr) n->prev->next = n->next;
     if (n->next != nullptr) n->next->prev = n->prev;
     if (first_leaf_ == n) first_leaf_ = n->next;
+    if (last_leaf_ == n) last_leaf_ = n->prev;
+    assert(last_leaf_ != nullptr);
     free_node(n);
     while (depth-- > 0) {
       Node* parent = path[depth];
@@ -338,6 +376,7 @@ class BTree {
       right->next = child->next;
       right->prev = child;
       if (right->next != nullptr) right->next->prev = right;
+      if (last_leaf_ == child) last_leaf_ = right;
       child->next = right;
       // Shift parent entries to make room.
       for (int j = parent->count; j > i; --j) {
@@ -400,6 +439,7 @@ class BTree {
   std::vector<Node*> free_;         ///< retired nodes awaiting reuse
   Node* root_ = nullptr;
   Node* first_leaf_ = nullptr;
+  Node* last_leaf_ = nullptr;  ///< holds the largest key; append path target
   std::size_t size_ = 0;
   std::size_t leaf_count_ = 0;
   int height_ = 1;

@@ -15,6 +15,12 @@
 /// scanning shows up in the registry. The page→slab index map is an
 /// open-addressing sim::FlatMap, so touch / insert-hit is one probe and a
 /// few index writes, no allocation.
+///
+/// Memory follows residency, not capacity: a node's capacity is a share of
+/// the whole database, but it holds only the pages its partition touches
+/// (at 729 warehouses, ~21 k of a 370 k-page capacity). The slab grows as a
+/// vector, and the map reserves twice the resident count whenever it passes
+/// 7/16 full, so a lookup stays a one-group probe.
 
 #include <cstdint>
 #include <vector>
@@ -35,10 +41,7 @@ class BufferCache {
   /// Pages evicted by one insert; sized for the common single eviction.
   using EvictedList = sim::SmallVec<PageId, 4>;
 
-  explicit BufferCache(std::size_t capacity_pages) : capacity_(capacity_pages) {
-    map_.reserve(capacity_pages);
-    slab_.reserve(capacity_pages);
-  }
+  explicit BufferCache(std::size_t capacity_pages) : capacity_(capacity_pages) {}
 
   /// Is \p page resident with at least \p mode?
   [[nodiscard]] bool contains(PageId page, PageMode mode) const {
@@ -117,7 +120,7 @@ class BufferCache {
   struct Entry {
     PageId page = 0;
     std::uint32_t prev = kNil, next = kNil;  ///< recency list
-    std::uint32_t map_idx = 0;  ///< this page's slot in map_ (valid until rehash)
+    std::uint32_t map_idx = 0;  ///< this page's slot in map_ (see refresh_map_indices)
     PageMode mode = PageMode::kShared;
   };
 
@@ -167,7 +170,8 @@ class BufferCache {
     free_.push_back(idx);
   }
 
-  /// Rebuild every entry's stored map slot index after a map rehash.
+  /// Rebuild every entry's stored map slot index after a map rehash. Every
+  /// map entry must already hold its slab index.
   void refresh_map_indices() {
     for (auto it = map_.begin(); it != map_.end(); ++it) {
       slab_[it->value].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
@@ -199,25 +203,33 @@ class BufferCache {
 
 inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) {
   EvictedList evicted;
-  const std::size_t cap0 = map_.capacity();
+  // Erases never move slots, so each entry's stored map slot stays valid
+  // until a rehash: the growth below, or a tombstone flush inside
+  // try_emplace, which can run before it finds a resident key. After one,
+  // every stored slot is re-derived, once the new entry is recorded.
+  const std::uint64_t rehashes = map_.rehashes();
   auto [it, inserted] = map_.try_emplace(page, 0);
-  // The map is reserved to capacity up front and erases never move slots, so
-  // a rehash here is essentially unreachable — but if one happens, every
-  // stored slot index is stale and must be re-derived.
-  if (map_.capacity() != cap0) refresh_map_indices();
   if (!inserted) {
     // Resident: one probe covers the hit — upgrade in place and re-rank.
     const std::uint32_t idx = it->value;
+    if (map_.rehashes() != rehashes) refresh_map_indices();
     if (mode == PageMode::kExclusive) slab_[idx].mode = PageMode::kExclusive;
     lru_.move_to_tail(slab_, idx);
     return evicted;
   }
   // Assign the slab slot and record where the map put this page before
-  // evicting: erases never move slots, so the recorded index lets eviction
-  // erase its victim without re-probing (see evict_one).
+  // evicting: the recorded index lets eviction erase its victim without
+  // re-probing (see evict_one).
   const std::uint32_t idx = alloc_entry(page, mode);
   it->value = idx;
-  slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
+  // Grow with residency: twice the resident count keeps the map under 7/16
+  // full, where nearly every lookup ends in its home group.
+  if (map_.size() * 16 > map_.capacity() * 7) map_.reserve(2 * map_.size());
+  if (map_.rehashes() != rehashes) {
+    refresh_map_indices();
+  } else {
+    slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
+  }
   while (map_.size() > capacity_) {
     PageId victim = evict_one();  // never the new page: it is list-linked below
     if (victim == 0) break;  // nothing else resident (capacity 0)

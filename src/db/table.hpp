@@ -217,31 +217,34 @@ class Table {
   [[nodiscard]] std::uint64_t data_pages() const {
     return row_count_ / static_cast<RowId>(rows_per_page_) + 1;
   }
-  /// Distinct resident data pages (clustered tables fragment by key range).
-  [[nodiscard]] std::uint64_t distinct_data_pages() const {
-    if (!spec_.clustered) return data_pages();
-    std::uint64_t count = 0;
-    PageId last = 0;
-    for (auto it = index_.lower_bound(0); it.valid(); it.next()) {
-      const PageId p = data_page_of_key(it.key());
-      if (p != last || count == 0) {
-        ++count;
-        last = p;
+  /// Call \p fn once per distinct data page, in key order: a clustered
+  /// table's pages are keyed, so they are enumerated through the index;
+  /// heap pages are numbered 0 .. data_pages() - 1.
+  template <typename Fn>
+  void for_each_data_page(Fn&& fn) const {
+    if (spec_.clustered) {
+      for_each_key_page(false, static_cast<Key>(rows_per_page_), fn);
+    } else {
+      for (std::uint64_t p = 0; p < data_pages(); ++p) {
+        fn(make_page_id(spec_.id, false, p));
       }
     }
+  }
+  /// Call \p fn once per distinct index leaf page, in key order.
+  template <typename Fn>
+  void for_each_index_page(Fn&& fn) const {
+    for_each_key_page(true, static_cast<Key>(kIndexKeysPerLeaf), fn);
+  }
+  /// Distinct resident data pages (clustered tables fragment by key range).
+  [[nodiscard]] std::uint64_t distinct_data_pages() const {
+    std::uint64_t count = 0;
+    for_each_data_page([&count](PageId) { ++count; });
     return std::max<std::uint64_t>(count, 1);
   }
   /// Distinct index leaf pages (key-range leaves fragment like data pages).
   [[nodiscard]] std::uint64_t distinct_index_pages() const {
     std::uint64_t count = 0;
-    PageId last = 0;
-    for (auto it = index_.lower_bound(0); it.valid(); it.next()) {
-      const PageId p = index_page_of(it.key());
-      if (p != last || count == 0) {
-        ++count;
-        last = p;
-      }
-    }
+    for_each_index_page([&count](PageId) { ++count; });
     return std::max<std::uint64_t>(count, 1);
   }
   [[nodiscard]] int rows_per_page() const { return rows_per_page_; }
@@ -269,6 +272,20 @@ class Table {
       chunks_[c].store(chunk, std::memory_order_release);
     }
     return chunk + (id & (kRowsPerChunk - 1));
+  }
+  /// One walk of the index for a page layout of \p keys_per_page keys: a
+  /// page's first key is found by one division, and the keys after it on
+  /// the same page are skipped by subtraction alone.
+  template <typename Fn>
+  void for_each_key_page(bool index, Key keys_per_page, Fn& fn) const {
+    for (auto it = index_.begin(); it.valid();) {
+      const Key page_no = it.key() / keys_per_page;
+      const Key first_key = page_no * keys_per_page;
+      fn(make_page_id(spec_.id, index, page_no));
+      do {
+        it.next();
+      } while (it.valid() && it.key() - first_key < keys_per_page);
+    }
   }
   [[nodiscard]] std::unique_lock<std::mutex> maybe_lock() const {
     return guard_ ? std::unique_lock<std::mutex>(*guard_)

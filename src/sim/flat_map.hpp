@@ -188,6 +188,9 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Rehashes so far, growing or in place (a tombstone flush keeps the
+  /// capacity but still moves every slot).
+  [[nodiscard]] std::uint64_t rehashes() const { return rehashes_; }
   [[nodiscard]] const ProbeStats& probe_stats() const { return probes_; }
 
   [[nodiscard]] iterator find(const Key& key) {
@@ -276,7 +279,7 @@ class FlatMap {
 
   /// Stable slot index of \p it, valid until the next rehash (erases never
   /// move slots). Callers that key other structures by slot index must
-  /// re-derive after any capacity() change.
+  /// re-derive whenever rehashes() changes.
   [[nodiscard]] std::size_t index_of(const_iterator it) const {
     return it.i_;
   }
@@ -411,6 +414,7 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_capacity) {
+    ++rehashes_;
     std::uint8_t* old_ctrl = ctrl_;
     Slot* old_slots = slots_;
     const std::size_t old_capacity = capacity_;
@@ -475,6 +479,7 @@ class FlatMap {
     gmask_ = std::exchange(o.gmask_, 0);
     size_ = std::exchange(o.size_, 0);
     filled_ = std::exchange(o.filled_, 0);
+    rehashes_ = std::exchange(o.rehashes_, 0);
     probes_ = std::exchange(o.probes_, ProbeStats{});
   }
 
@@ -485,6 +490,7 @@ class FlatMap {
   std::size_t gmask_ = 0;  ///< group count - 1
   std::size_t size_ = 0;
   std::size_t filled_ = 0;  ///< occupied + tombstoned slots
+  std::uint64_t rehashes_ = 0;
   mutable ProbeStats probes_;
 };
 

@@ -8,6 +8,7 @@
 ///   - a MsgChannel message stream over each net::Transport,
 ///   - the DB tier: a keyed lookup/insert/evict mix, contended lock waits,
 ///     buffer-cache touch and insert-hit, uncontended lock acquire/release,
+///     and a buffer cache that allocates nothing before its first page,
 ///   - the YCSB keyed path: key chooser, op generator and resident-row access.
 ///
 /// Every op sequence is seeded, so each count is exact and machine-invariant.
@@ -365,6 +366,16 @@ TEST(ZeroAlloc, BufferCacheTouchAndInsertHit) {
     cache.insert(pg(rng.next() % 1024), db::PageMode::kShared);
   }
   EXPECT_EQ(g_allocs - before_insert, 0u) << "insert-hit";
+}
+
+TEST(ZeroAlloc, BufferCacheSizedByResidency) {
+  // A node's capacity is a share of the whole database; its map and slab
+  // grow with the pages that become resident, so building a cache for
+  // 16 M pages allocates nothing until the first insert.
+  const std::uint64_t before = g_allocs;
+  db::BufferCache cache(std::size_t{1} << 24);
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(cache.capacity(), std::size_t{1} << 24);
 }
 
 TEST(ZeroAlloc, UncontendedLockAcquireRelease) {

@@ -136,6 +136,19 @@ TEST(BTree, LeafCountConsistentWithSize) {
   EXPECT_LE(leaves, 10'000u / 16);
 }
 
+TEST(BTree, AscendingLoadShapeAtProductionFanout) {
+  // Table population loads keys in ascending order, through the append path
+  // on all but one insert per leaf. The high-end append split packs each
+  // leaf with Fanout - 1 keys: 1,000,000 keys fill 15,873 leaves.
+  BTree<std::uint64_t, std::uint64_t> t;
+  for (std::uint64_t k = 0; k < 1'000'000; ++k) t.insert(k * 3, k);
+  EXPECT_EQ(t.size(), 1'000'000u);
+  EXPECT_EQ(t.leaf_count(), 15'873u);
+  EXPECT_EQ(t.height(), 4);
+  EXPECT_EQ(*t.find(999'999 * 3), 999'999u);
+  EXPECT_FALSE(t.find(999'999 * 3 + 1).has_value());
+}
+
 TEST(BTree, CachedCountersMatchStructureUnderChurn) {
   // height() / leaf_count() are maintained incrementally; verify them
   // against a from-scratch walk via the iterator and known shape bounds
@@ -273,6 +286,65 @@ TEST_P(BTreeFuzz, MatchesReferenceUnderMixedWorkload) {
     it.next();
   }
   EXPECT_FALSE(it.valid());
+}
+
+/// Append-heavy interleavings: most inserts land above the current maximum
+/// (the append path), erases often take the maximum (retiring the last
+/// leaf), and the tree is drained completely once, then appended to again.
+TEST_P(BTreeFuzz, AppendHeavyMatchesReference) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) + 100);
+  BTree<std::uint64_t, int, 8> t;
+  std::map<std::uint64_t, int> ref;
+  std::uint64_t top = 0;  ///< appends go above this
+  const auto check = [&](int step) {
+    ASSERT_EQ(t.size(), ref.size()) << step;
+    auto it = t.begin();
+    for (const auto& [k, v] : ref) {
+      ASSERT_TRUE(it.valid()) << step;
+      ASSERT_EQ(it.key(), k) << step;
+      ASSERT_EQ(it.value(), v) << step;
+      it.next();
+    }
+    ASSERT_FALSE(it.valid()) << step;
+    for (int probe = 0; probe < 16; ++probe) {
+      const std::uint64_t k = rng() % (top + 8);
+      const auto got = t.find(k);
+      const auto rit = ref.find(k);
+      ASSERT_EQ(got.has_value(), rit != ref.end()) << step << " key " << k;
+      if (got) {
+        ASSERT_EQ(*got, rit->second) << step << " key " << k;
+      }
+      const auto lb = t.lower_bound(k);
+      const auto rlb = ref.lower_bound(k);
+      ASSERT_EQ(lb.valid(), rlb != ref.end()) << step << " key " << k;
+      if (lb.valid()) {
+        ASSERT_EQ(lb.key(), rlb->first) << step << " key " << k;
+      }
+    }
+  };
+  for (int step = 0; step < 6'000; ++step) {
+    if (step == 3'000) {  // full drain, then the appends below refill it
+      for (auto it = ref.begin(); it != ref.end(); it = ref.erase(it)) {
+        ASSERT_TRUE(t.erase(it->first));
+      }
+      ASSERT_TRUE(t.empty());
+    }
+    const std::uint64_t r = rng() % 10;
+    if (r < 6) {  // append above the maximum
+      top += 1 + rng() % 3;
+      t.insert(top, step);
+      ref[top] = step;
+    } else if (r < 7 && top > 0) {  // insert or overwrite below it
+      const std::uint64_t k = rng() % top;
+      t.insert(k, step);
+      ref[k] = step;
+    } else if (!ref.empty()) {  // erase the maximum, or any key
+      const std::uint64_t k = r < 9 ? ref.rbegin()->first : rng() % (top + 1);
+      ASSERT_EQ(t.erase(k), ref.erase(k) > 0) << step;
+    }
+    if (step % 500 == 0) check(step);
+  }
+  check(6'000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeFuzz, ::testing::Range(1, 9));

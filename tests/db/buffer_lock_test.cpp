@@ -79,6 +79,25 @@ TEST(BufferCache, EvictionCostBoundedWithPinnedColdFront) {
   EXPECT_EQ(c.size(), kCap);
 }
 
+TEST(BufferCache, RehashKeepsEvictionOnTheRightPage) {
+  // Restored capacity lets residency outgrow the cache's construction size,
+  // so the map rehashes under inserts. Eviction erases each victim through
+  // its stored map slot, which every rehash must re-derive.
+  constexpr std::size_t kCap = 64 + 1000;
+  constexpr std::size_t kInserts = 3000;
+  BufferCache c(64);
+  c.restore_capacity(1000);
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    for (PageId victim : c.insert(pg(i), PageMode::kShared)) {
+      EXPECT_FALSE(c.resident(victim)) << i;
+    }
+  }
+  EXPECT_EQ(c.size(), kCap);
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    EXPECT_EQ(c.resident(pg(i)), i >= kInserts - kCap) << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(LockManager, TryAcquireConflictsAndReentrancy) {

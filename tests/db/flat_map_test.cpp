@@ -153,6 +153,29 @@ TEST(FlatMap, EraseAtStoredIndexMatchesEraseByKey) {
   }
 }
 
+/// Every key hashes to group 0, so keys fill the groups in insertion order.
+struct OneGroupHash {
+  std::uint64_t operator()(std::uint64_t) const { return 0; }
+};
+
+TEST(FlatMap, InPlaceTombstoneFlushCountsAsRehash) {
+  // A tombstone flush keeps the capacity but moves slots, so callers that
+  // store slot indices watch rehashes(), not capacity().
+  FlatMap<std::uint64_t, int, OneGroupHash> m;
+  for (std::uint64_t k = 0; k < 28; ++k) m.try_emplace(k, 0);
+  ASSERT_EQ(m.capacity(), 32u);
+  // Group 0 is packed, so erasing its 16 keys leaves 16 tombstones and the
+  // map at its 7/8 cap of non-empty slots with 12 live keys.
+  for (std::uint64_t k = 0; k < 16; ++k) ASSERT_EQ(m.erase(k), 1u);
+  const std::uint64_t rehashes = m.rehashes();
+  const std::size_t slot = m.index_of(m.find(20));
+  m.try_emplace(100, 0);
+  EXPECT_EQ(m.capacity(), 32u);
+  EXPECT_EQ(m.rehashes(), rehashes + 1);
+  EXPECT_NE(m.index_of(m.find(20)), slot);
+  EXPECT_EQ(m.size(), 13u);
+}
+
 TEST(FlatMap, NonTrivialMappedTypeSurvivesRehash) {
   FlatMap<std::uint64_t, std::string> m;
   for (std::uint64_t i = 0; i < 500; ++i) {

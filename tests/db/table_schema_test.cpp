@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "db/table.hpp"
 #include "db/tpcc_schema.hpp"
 
@@ -79,6 +81,47 @@ TEST(Table, IndexPageStableForSameKey) {
   PageId b = t.index_page_of(key_wi(1, 77));
   EXPECT_EQ(a, b);
   EXPECT_EQ(table_of_page(a), TableId::kStock);
+}
+
+TEST(Table, PageEnumeratorsVisitEachPageOnceInKeyOrder) {
+  // Sparse keys: runs that share a page, gaps that skip pages, and runs
+  // that cross a page boundary. The reference maps every key to its page.
+  Table<OrderLineRow> lines(TpccSpecs::order_line);
+  std::vector<Key> keys;
+  for (std::int64_t o = 1; o <= 300; o += 1 + o % 7) {
+    for (std::int64_t ol = 1; ol <= 5 + o % 11; ++ol) {
+      keys.push_back(key_wdool(2, 3, o, ol));
+    }
+  }
+  for (Key k : keys) lines.insert(k, OrderLineRow{});
+  const auto enumerate = [](auto for_each) {
+    std::vector<PageId> pages;
+    for_each([&pages](PageId p) { pages.push_back(p); });
+    return pages;
+  };
+  const auto reference = [&keys](auto page_of) {
+    std::vector<PageId> pages;
+    for (Key k : keys) {
+      if (pages.empty() || pages.back() != page_of(k)) pages.push_back(page_of(k));
+    }
+    return pages;
+  };
+  const auto data = enumerate([&](auto fn) { lines.for_each_data_page(fn); });
+  const auto index = enumerate([&](auto fn) { lines.for_each_index_page(fn); });
+  EXPECT_EQ(data, reference([&](Key k) { return lines.data_page_of_key(k); }));
+  EXPECT_EQ(index, reference([&](Key k) { return lines.index_page_of(k); }));
+  EXPECT_GT(data.size(), 1u);
+  EXPECT_EQ(lines.distinct_data_pages(), data.size());
+  EXPECT_EQ(lines.distinct_index_pages(), index.size());
+
+  // A heap table numbers its data pages densely.
+  Table<ItemRow> items(TpccSpecs::item);
+  for (Key k = 1; k <= 500; ++k) items.insert(k, ItemRow{});
+  const auto heap = enumerate([&](auto fn) { items.for_each_data_page(fn); });
+  ASSERT_EQ(heap.size(), items.data_pages());
+  for (std::size_t p = 0; p < heap.size(); ++p) {
+    EXPECT_EQ(heap[p], make_page_id(TableId::kItem, false, p));
+  }
 }
 
 TEST(TpccDatabase, PopulationMatchesCardinalityRules) {

@@ -2,7 +2,8 @@
 /// nodes, affinity 0.8) must reproduce the committed fixture byte for byte.
 /// The datapath and engine refactors promise "memory behavior only, event
 /// ordering untouched" — this test is what turns a silently shifted figure
-/// into a CI failure.
+/// into a CI failure. The fixture also pins the number of events the engine
+/// executed, so a change in events per run shows as a fixture diff.
 ///
 /// To regenerate after an *intentional* model change, run with
 /// GOLDEN_UPDATE=1 and paste the block it prints into
@@ -14,7 +15,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/experiment.hpp"
+#include "core/cluster.hpp"
 
 namespace dclue::core {
 namespace {
@@ -53,8 +54,11 @@ TEST(GoldenFig, TwoNodeScalingPointIsBitIdentical) {
   cfg.warmup = 1.0;
   cfg.measure = 4.0;
 
-  const RunReport r = run_experiment(cfg);
-  const std::string got = format_report(r);
+  Cluster cluster(cfg);
+  const RunReport r = cluster.run();
+  const std::string got = format_report(r) + "events=" +
+                          std::to_string(cluster.engine().events_executed()) +
+                          "\n";
   if (std::getenv("GOLDEN_UPDATE") != nullptr) {
     std::printf("--- GOLDEN_UPDATE: paste into golden_fig06_fixture.inc ---\n"
                 "R\"golden(\n%s)golden\"\n"
