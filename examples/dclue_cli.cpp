@@ -1,6 +1,7 @@
 /// dclue_cli: run one cluster configuration from the command line and print
-/// the full report — the general-purpose front end for ad-hoc sensitivity
-/// studies that do not warrant a bench binary.
+/// the full report (every RunReport field under its REPORT key) — the
+/// general-purpose front end for ad-hoc sensitivity studies that do not
+/// warrant a bench binary.
 ///
 ///   ./dclue_cli [--nodes N] [--affinity A] [--terminals T] [--sw-tcp]
 ///               [--sw-iscsi] [--central-log] [--low-comp] [--ftp MBPS]
@@ -9,6 +10,7 @@
 ///               [--warmup S] [--measure S] [--open-loop RATE]
 ///               [--transport tcp|rdma]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,26 +127,11 @@ int main(int argc, char** argv) {
                static_cast<long long>(cfg.warehouses()));
   core::RunReport r = core::run_experiment(cfg);
 
-  std::printf("tpmc              %12.0f\n", r.tpmc);
-  std::printf("txn_rate_scaled   %12.2f\n", r.txn_rate);
-  std::printf("abort_rate        %12.4f\n", r.abort_rate);
-  std::printf("ipc_ctrl_per_txn  %12.2f\n", r.ipc_control_per_txn);
-  std::printf("ipc_data_per_txn  %12.2f\n", r.ipc_data_per_txn);
-  std::printf("ctrl_delay_ms     %12.3f\n", r.control_msg_delay_ms);
-  std::printf("lock_waits_txn    %12.4f\n", r.lock_waits_per_txn);
-  std::printf("lock_fail_txn     %12.4f\n", r.lock_failures_per_txn);
-  std::printf("lock_wait_ms      %12.3f\n", r.lock_wait_time_ms);
-  std::printf("buffer_hit        %12.4f\n", r.buffer_hit_ratio);
-  std::printf("disk_reads_txn    %12.3f\n", r.disk_reads_per_txn);
-  std::printf("remote_fetch_txn  %12.3f\n", r.remote_fetch_per_txn);
-  std::printf("threads           %12.2f\n", r.avg_active_threads);
-  std::printf("csw_cycles        %12.0f\n", r.avg_context_switch_cycles);
-  std::printf("cpi               %12.3f\n", r.avg_cpi);
-  std::printf("cpu_util          %12.3f\n", r.cpu_utilization);
-  std::printf("interlata_mbps    %12.1f\n", r.inter_lata_mbps);
-  std::printf("ftp_carried_mbps  %12.1f\n", r.ftp_carried_mbps);
-  std::printf("fabric_drops      %12llu\n",
-              static_cast<unsigned long long>(r.fabric_drops));
+  core::for_each_field(
+      r, [](const char* key, double v) { std::printf("%-26s %.10g\n", key, v); },
+      [](const char* key, std::uint64_t v) {
+        std::printf("%-26s %llu\n", key, static_cast<unsigned long long>(v));
+      });
   if (metrics_filter) {
     // Raw registry dump for ad-hoc diagnosis: every probe whose name
     // contains the filter substring, scalar value only (counters print the

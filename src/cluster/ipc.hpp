@@ -150,10 +150,6 @@ class IpcService {
   [[nodiscard]] bool connected_to(int peer) const {
     return peers_.contains(peer);
   }
-  [[nodiscard]] std::uint64_t sent_of_type(IpcType type) const {
-    return sent_by_type_[static_cast<std::size_t>(type)].count();
-  }
-
   /// Bind the per-message-class send counters (the cache-fusion / lock /
   /// log traffic mix) under \p prefix ("node0.ipc.sent.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {

@@ -55,7 +55,7 @@ void Cluster::plan_shards() {
   const int latas = cfg_.latas();
   const int spl = cfg_.servers_per_lata();
   const bool cross_traffic = cfg_.ftp.offered_load_mbps > 0.0;
-  const int client_hosts = std::max(1, cfg_.nodes / 4);
+  const int client_hosts = cfg_.client_hosts();
   int next = 0;
   dom_.outer = next++;
   dom_.lata.resize(static_cast<std::size_t>(latas));
@@ -94,7 +94,7 @@ void Cluster::build_topology() {
   net::TopologyParams tp;
   tp.latas = cfg_.latas();
   tp.servers_per_lata = cfg_.servers_per_lata();
-  tp.client_hosts = std::max(1, cfg_.nodes / 4);
+  tp.client_hosts = cfg_.client_hosts();
   const bool cross_traffic = cfg_.ftp.offered_load_mbps > 0.0;
   tp.extra_client_hosts = cross_traffic ? 1 : 0;
   tp.extra_servers_per_lata = cross_traffic ? 1 : 0;
@@ -489,7 +489,7 @@ void Cluster::register_metrics() {
     });
   }
   // YCSB fleets: completions and sojourns are *bound* (they reset at the
-  // warmup boundary so collect() reads measure-window values); the arrival
+  // warmup boundary so the report reads measure-window values); the arrival
   // and queue-shape accountings are whole-run gauges like the terminal ones.
   for (std::size_t h = 0; h < ycsb_fleets_.size(); ++h) {
     const std::string p = "client" + std::to_string(h) + ".ycsb.";
@@ -651,7 +651,7 @@ RunReport Cluster::run() {
   engine_.run_until(cfg_.warmup);
   reset_all_stats();
   engine_.run_until(cfg_.warmup + cfg_.measure);
-  return collect(cfg_.measure);
+  return collect();
 }
 
 RunReport Cluster::run_sharded() {
@@ -686,111 +686,12 @@ RunReport Cluster::run_sharded() {
   shards_->advance_all_to(cfg_.warmup);
   reset_all_stats();
   shards_->advance_all_to(cfg_.warmup + cfg_.measure);
-  return collect(cfg_.measure);
+  return collect();
 }
 
-RunReport Cluster::collect(sim::Duration measured) {
-  RunReport r;
-  r.nodes = cfg_.nodes;
-  r.affinity = cfg_.affinity;
-  r.measure_seconds = measured;
-
-  double committed = 0, aborted = 0, new_orders = 0;
-  double ctrl = 0, data = 0;
-  double lock_waits = 0, lock_failures = 0;
-  obs::Tally lock_wait_all, ctrl_delay_all;
-  double hits = 0, misses = 0, disk_reads = 0, remote = 0;
-  obs::Tally t_total, t_phase1, t_locks, t_log, t_apply;
-  double threads = 0, csw = 0, cpi = 0, util = 0;
-  for (auto& node : nodes_) {
-    auto& s = node->stats();
-    committed += static_cast<double>(s.txns_committed.count());
-    aborted += static_cast<double>(s.txns_aborted.count());
-    new_orders += static_cast<double>(s.new_orders_committed.count());
-    ctrl += static_cast<double>(s.ipc_control_sent.count());
-    data += static_cast<double>(s.ipc_data_sent.count());
-    lock_waits += static_cast<double>(s.lock_waits.count());
-    lock_failures += static_cast<double>(s.lock_failures.count());
-    lock_wait_all.merge(s.lock_wait_time);
-    ctrl_delay_all.merge(s.control_msg_delay);
-    t_total.merge(s.t_total);
-    t_phase1.merge(s.t_phase1);
-    t_locks.merge(s.t_locks);
-    t_log.merge(s.t_log);
-    t_apply.merge(s.t_apply);
-    hits += static_cast<double>(s.buffer_hits.count());
-    misses += static_cast<double>(s.buffer_misses.count());
-    disk_reads += static_cast<double>(s.disk_reads.count());
-    remote += static_cast<double>(s.remote_fetches.count());
-    threads += node->processor().avg_active_threads();
-    csw += node->processor().context_switch_cost_cycles().mean();
-    cpi += node->processor().avg_cpi();
-    util += node->processor().utilization();
-  }
-  const double n = static_cast<double>(cfg_.nodes);
-  const double txns = std::max(committed, 1.0);
-  r.txns = committed;
-  r.txn_rate = committed / measured;
-  r.tpmc = new_orders / measured * 60.0 * cfg_.scale;
-  r.ipc_control_per_txn = ctrl / txns;
-  r.ipc_data_per_txn = data / txns;
-  r.lock_waits_per_txn = lock_waits / txns;
-  r.lock_failures_per_txn = lock_failures / txns;
-  r.lock_wait_time_ms = lock_wait_all.mean() / cfg_.scale * 1e3;
-  r.control_msg_delay_ms = ctrl_delay_all.mean() / cfg_.scale * 1e3;
-  r.buffer_hit_ratio = (hits + misses) > 0 ? hits / (hits + misses) : 0.0;
-  r.disk_reads_per_txn = disk_reads / txns;
-  r.remote_fetch_per_txn = remote / txns;
-  r.avg_active_threads = threads / n;
-  r.avg_context_switch_cycles = csw / n;
-  r.avg_cpi = cpi / n;
-  r.cpu_utilization = util / n;
-  r.abort_rate = (committed + aborted) > 0 ? aborted / (committed + aborted) : 0.0;
-  const double ms = 1e3 / cfg_.scale;  // scaled seconds -> unscaled ms
-  r.txn_ms = t_total.mean() * ms;
-  r.txn_phase1_ms = t_phase1.mean() * ms;
-  r.txn_lock_ms = t_locks.mean() * ms;
-  r.txn_log_ms = t_log.mean() * ms;
-  r.txn_apply_ms = t_apply.mean() * ms;
-
-  sim::Bytes inter_bytes = 0;
-  for (int lata = 0; lata < cfg_.latas(); ++lata) {
-    inter_bytes += topo_->lata_uplink(lata).bytes_sent();
-    inter_bytes += topo_->lata_downlink(lata).bytes_sent();
-  }
-  r.inter_lata_mbps =
-      static_cast<double>(inter_bytes) * 8.0 / measured / 1e6 * cfg_.scale /
-      std::max(1, 2 * cfg_.latas());
-  r.fabric_drops = topo_->total_drops();
-
-  for (auto& fleet : fleets_) {
-    r.business_txns += static_cast<double>(fleet->business_txns_completed());
-    r.admission_drops += fleet->admission_drops();
-    r.client_conn_failures += fleet->connection_failures();
-  }
-  if (!ycsb_fleets_.empty()) {
-    // ops_completed / sojourn are registry-bound, so they hold only the
-    // measure window here. Per-fleet histograms share one geometry; merge
-    // before taking quantiles so p50/p99 reflect the whole cluster.
-    obs::Histogram sojourn_all{0.0, 60.0, 3000};
-    for (auto& fleet : ycsb_fleets_) {
-      r.ycsb_ops += static_cast<double>(fleet->ops_completed().count());
-      sojourn_all.merge(fleet->sojourn());
-      r.admission_drops += fleet->admission_drops();
-      r.client_conn_failures += fleet->connection_failures();
-    }
-    r.ycsb_op_rate = r.ycsb_ops / measured;
-    r.sojourn_p50_ms = sojourn_all.quantile(0.50) / cfg_.scale * 1e3;
-    r.sojourn_p99_ms = sojourn_all.quantile(0.99) / cfg_.scale * 1e3;
-  }
-  sim::Bytes ftp_bytes = 0;
-  for (auto& ftp : ftp_clients_) ftp_bytes += ftp->bytes_carried();
-  r.ftp_carried_mbps =
-      static_cast<double>(ftp_bytes) * 8.0 / measured / 1e6 * cfg_.scale;
-
+RunReport Cluster::collect() {
+  RunReport r = summarize(cfg_, registry_.snapshot(sim_now()));
   r.shard_count = shards_ != nullptr ? shards_->shards() : 0;
-  r.transport = static_cast<int>(nodes_.front()->transport_kind());
-  r.registry = registry_.snapshot(sim_now());
   return r;
 }
 

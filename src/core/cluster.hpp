@@ -58,24 +58,12 @@ class Cluster {
                : 0;
   }
   [[nodiscard]] Node& node(int i) { return *nodes_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] workload::TerminalFleet& fleet(int i) {
-    return *fleets_.at(static_cast<std::size_t>(i));
-  }
-  [[nodiscard]] int num_fleets() const { return static_cast<int>(fleets_.size()); }
-  /// YCSB runs (cfg.workload_spec = "ycsb-X") build these instead of the
-  /// TPC-C terminal fleets; exactly one of the two vectors is non-empty.
-  [[nodiscard]] workload::YcsbFleet& ycsb_fleet(int i) {
-    return *ycsb_fleets_.at(static_cast<std::size_t>(i));
-  }
-  [[nodiscard]] int num_ycsb_fleets() const {
-    return static_cast<int>(ycsb_fleets_.size());
-  }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
   [[nodiscard]] net::Topology& topology() { return *topo_; }
 
   /// The one registration / reset / snapshot surface for every collector in
   /// this cluster. Populated at construction; run() resets its window at the
-  /// warmup boundary and collect() attaches its snapshot to the RunReport.
+  /// warmup boundary and derives the RunReport from its final snapshot.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return registry_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return registry_; }
 
@@ -95,7 +83,6 @@ class Cluster {
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
   [[nodiscard]] double recovery_seconds() const { return recovery_seconds_; }
   [[nodiscard]] std::uint64_t locks_purged() const { return locks_purged_; }
-  [[nodiscard]] std::uint64_t directory_purged() const { return dir_purged_; }
   [[nodiscard]] std::uint64_t cache_invalidated() const {
     return cache_invalidated_;
   }
@@ -126,7 +113,8 @@ class Cluster {
   sim::DetachedTask version_gc_loop();
   sim::DetachedTask version_gc_loop_node(int i);
   void reset_all_stats();
-  RunReport collect(sim::Duration measured);
+  /// summarize() over the registry snapshot, plus the shard count.
+  RunReport collect();
   RunReport run_sharded();
   [[nodiscard]] sim::Time sim_now() {
     return shards_ != nullptr ? shards_->engine(0).now() : engine_.now();

@@ -7,6 +7,7 @@
 /// forwarding rates the paper quotes. The builder converts everything into
 /// the internally consistent scaled simulation domain.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -187,6 +188,8 @@ struct ClusterConfig {
   [[nodiscard]] int servers_per_lata() const {
     return (nodes + latas() - 1) / latas();
   }
+  /// Client hosts at the outer router, each running one fleet.
+  [[nodiscard]] int client_hosts() const { return std::max(1, nodes / 4); }
 
   /// Warehouses for the configured cluster per the growth rule.
   [[nodiscard]] std::int64_t warehouses() const {

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file report.hpp
-/// Aggregated run outcome (RunReport) plus the machine-readable RunReport
-/// JSON writer every figure bench emits (`--report`). One schema —
+/// Aggregated run outcome (RunReport), derived from the metrics-registry
+/// snapshot alone by summarize(), plus the machine-readable RunReport JSON
+/// writer every figure bench emits (`--report`). One schema —
 /// "dclue.run_report.v1" — is consumed by scripts/check_report.py and
-/// scripts/bench_compare.py; the full metrics-registry snapshot rides along
-/// with each sweep point so derived observables never need bench-side
-/// plumbing.
+/// scripts/bench_compare.py; the full snapshot rides along with each sweep
+/// point so derived observables never need bench-side plumbing.
 
 #include <cstdint>
 #include <string>
@@ -80,18 +80,28 @@ struct RunReport {
   int transport = 0;
 
   /// Full metrics-registry snapshot at collection time (every probe in the
-  /// stack, node-prefixed). Averaged replications keep the last
-  /// replication's snapshot.
+  /// stack, node-prefixed); every field above except shard_count is derived
+  /// from it. Averaged replications keep the last replication's snapshot.
   obs::Snapshot registry;
 };
+
+/// The report of a run of \p cfg, derived from its end-of-run registry
+/// \p snapshot alone, which becomes `registry`; shard_count stays 0. Throws
+/// std::logic_error when a metric it reads is missing, or when a per-node,
+/// per-fleet or per-LATA metric lacks exactly one entry per node, fleet or
+/// LATA of \p cfg.
+[[nodiscard]] RunReport summarize(const ClusterConfig& cfg,
+                                  obs::Snapshot snapshot);
 
 /// Visit every scalar field in the canonical order (the golden fixture's
 /// order), walking one or more reports in step: `fn(name, field...)` gets
 /// the same field of each report, by reference. A field's type says what it
 /// holds: a `double` is a measured value, a `std::uint64_t` a counter, and an
 /// `int` an echo of the configuration, equal in every replication of a
-/// point. New fields must be appended here to appear in fixtures, reports
-/// and replication averages.
+/// point. This list only fixes names and order for fixtures, reports and
+/// replication averages; each value comes from summarize(). A new run
+/// outcome is a registry metric; it becomes a field only when a figure needs
+/// it as a scalar, as one line here plus one line in summarize().
 template <typename Fn, typename... Reports>
 void visit_fields(Fn&& fn, Reports&... r) {
   fn("nodes", r.nodes...);

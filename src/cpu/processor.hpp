@@ -69,14 +69,6 @@ class Processor {
     return csw_cost_;
   }
   [[nodiscard]] std::uint64_t context_switches() const { return csw_count_.count(); }
-  [[nodiscard]] double instructions_executed() const {
-    return instr_executed_.value();
-  }
-  [[nodiscard]] double avg_cpi() const {
-    return instr_executed_.value() > 0
-               ? cycles_executed_.value() / instr_executed_.value()
-               : 0.0;
-  }
   /// Bind this processor's collectors under \p prefix ("node0.cpu.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
 

@@ -33,7 +33,6 @@ class VersionManager {
     auto& chain = chains_[lock_name(page, subpage)];
     chain.push_back(ts);
     in_use_ += bytes;
-    versions_created_.record();
     while (in_use_ > capacity_) {
       // Steal an unpinned buffer page into the overflow area.
       auto stolen = cache_.steal_for_versions(1);
@@ -98,11 +97,7 @@ class VersionManager {
     return freed;
   }
 
-  [[nodiscard]] sim::Bytes bytes_in_use() const { return in_use_; }
   [[nodiscard]] sim::Bytes capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t versions_created() const {
-    return versions_created_.count();
-  }
   [[nodiscard]] std::uint64_t cache_pages_stolen() const {
     return pages_stolen_.count();
   }
@@ -121,7 +116,6 @@ class VersionManager {
   BufferCache& cache_;
   sim::FlatMap<LockName, Chain> chains_;
   sim::Bytes in_use_ = 0;
-  obs::Counter versions_created_;
   obs::Counter pages_stolen_;
   obs::Counter pages_returned_;
 };

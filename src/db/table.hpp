@@ -208,7 +208,6 @@ class Table {
   [[nodiscard]] PageId index_page_of(Key key) const {
     return make_page_id(spec_.id, true, key / kIndexKeysPerLeaf);
   }
-  [[nodiscard]] int index_height() const { return index_.height(); }
   /// The page new rows land on (append locality for growing tables).
   [[nodiscard]] PageId append_page() const {
     return make_page_id(spec_.id, false,

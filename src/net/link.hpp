@@ -36,12 +36,10 @@ class Link : public PacketSink {
   void set_cross_domain(std::uint32_t target_domain) {
     cross_domain_ = static_cast<std::int32_t>(target_domain);
   }
-  [[nodiscard]] bool crosses_domains() const { return cross_domain_ >= 0; }
 
   /// Enqueue for transmission (tail-drop under QoS limits).
   void deliver(Packet pkt) override;
 
-  void set_propagation(sim::Duration d) { propagation_ = d; }
   [[nodiscard]] sim::Duration propagation() const { return propagation_; }
   [[nodiscard]] sim::BitRate rate() const { return rate_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -73,9 +71,6 @@ class Link : public PacketSink {
   /// --- metrics -----------------------------------------------------------
   [[nodiscard]] double utilization(sim::Time now) const {
     return busy_.average(now);
-  }
-  [[nodiscard]] sim::Bytes bytes_sent() const {
-    return static_cast<sim::Bytes>(bytes_sent_.count());
   }
   [[nodiscard]] const OutputQueue& queue() const { return queue_; }
   [[nodiscard]] OutputQueue& queue() { return queue_; }

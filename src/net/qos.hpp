@@ -97,9 +97,6 @@ class OutputQueue {
   [[nodiscard]] const obs::Counter& policed_drops() const { return policed_; }
   [[nodiscard]] const obs::Counter& ecn_marks() const { return ecn_marks_; }
   [[nodiscard]] const obs::Tally& queue_delay() const { return queue_delay_; }
-  [[nodiscard]] const obs::TimeWeightedAvg& depth_bytes() const {
-    return depth_bytes_;
-  }
   void reset_stats(sim::Time now = 0.0) {
     drops_.reset();
     policed_.reset();

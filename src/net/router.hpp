@@ -57,9 +57,6 @@ class Router : public PacketSink {
   [[nodiscard]] const obs::Counter& forwarded() const { return forwarded_; }
   [[nodiscard]] const obs::Counter& input_drops() const { return input_drops_; }
   [[nodiscard]] const obs::Tally& forwarding_delay() const { return fwd_delay_; }
-  [[nodiscard]] double engine_utilization(sim::Time now) const {
-    return busy_.average(now);
-  }
   void reset_stats(sim::Time now) {
     forwarded_.reset();
     input_drops_.reset();

@@ -81,9 +81,6 @@ class Topology {
 
   [[nodiscard]] Router& outer_router() { return *outer_router_; }
   [[nodiscard]] Router& inner_router(int lata) { return *inner_routers_.at(lata); }
-  /// The LATA-to-outer / outer-to-LATA link pair for cross-LATA stats.
-  [[nodiscard]] Link& lata_uplink(int lata) { return *lata_uplinks_.at(lata); }
-  [[nodiscard]] Link& lata_downlink(int lata) { return *lata_downlinks_.at(lata); }
 
   /// Which LATA a server index belongs to.
   [[nodiscard]] int lata_of_server(int i) const { return i / params_.servers_per_lata; }

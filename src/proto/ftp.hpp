@@ -76,13 +76,9 @@ class FtpClient {
   [[nodiscard]] std::uint64_t transfers_completed() const {
     return completed_.count();
   }
-  [[nodiscard]] std::uint64_t transfers_aborted() const {
-    return aborted_.count();
-  }
   [[nodiscard]] sim::Bytes bytes_carried() const {
     return static_cast<sim::Bytes>(bytes_carried_.count());
   }
-  [[nodiscard]] const obs::Tally& transfer_time() const { return transfer_time_; }
 
   /// Bind this client's collectors under \p prefix ("ftp.client<i>.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {

@@ -151,7 +151,6 @@ class Engine {
     router_ = router;
     domains_.assign(domain_count, DomainState{});
   }
-  [[nodiscard]] bool domain_mode() const { return domain_mode_; }
   [[nodiscard]] int shard_id() const { return shard_id_; }
 
   /// The domain whose event is currently executing (events inherit the

@@ -254,12 +254,6 @@ class FlatMap {
     }
   }
 
-  std::pair<iterator, bool> insert_or_assign(const Key& key, T value) {
-    auto [it, inserted] = try_emplace(key, std::move(value));
-    if (!inserted) it->value = std::move(value);
-    return {it, inserted};
-  }
-
   /// Erase by key; returns the number of elements removed (0 or 1). Never
   /// moves other elements; see the header comment for when the slot is
   /// handed back empty versus tombstoned.

@@ -209,6 +209,7 @@ Snapshot MetricsRegistry::snapshot(sim::Time now) const {
         m.min = t->min();
         m.max = t->max();
         m.stddev = t->stddev();
+        m.tally = *t;
         break;
       }
       case MetricKind::kTimeWeighted:
@@ -227,6 +228,7 @@ Snapshot MetricsRegistry::snapshot(sim::Time now) const {
         m.p50 = h->quantile(0.50);
         m.p95 = h->quantile(0.95);
         m.p99 = h->quantile(0.99);
+        m.histogram = *h;
         break;
       }
       case MetricKind::kGaugeFn:

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,7 +53,9 @@ enum class MetricKind : std::uint8_t {
 
 /// One metric's state at snapshot time. Scalar kinds fill `value` only;
 /// distribution kinds (tally, histogram) fill the sample-statistics block and
-/// histograms additionally carry quantiles.
+/// histograms additionally carry quantiles. Tallies and histograms also keep
+/// a copy of the collector itself, so consumers can merge distributions
+/// across entries exactly (core::summarize); JSON never prints the copy.
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -66,6 +69,8 @@ struct MetricValue {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+  Tally tally;                         ///< kTally only
+  std::optional<Histogram> histogram;  ///< kHistogram only
 };
 
 /// A point-in-time copy of the whole registry. Detached from the live

@@ -63,7 +63,6 @@ class Tracer {
   }
 
   [[nodiscard]] std::uint32_t pid() const { return pid_; }
-  void set_pid(std::uint32_t pid) { pid_ = pid; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   void clear() { events_.clear(); }

@@ -18,7 +18,6 @@ using Duration = double;
 constexpr Duration seconds(double v) { return v; }
 constexpr Duration milliseconds(double v) { return v * 1e-3; }
 constexpr Duration microseconds(double v) { return v * 1e-6; }
-constexpr Duration nanoseconds(double v) { return v * 1e-9; }
 
 /// Data sizes. All sizes in the model are byte counts held in 64-bit ints.
 using Bytes = std::int64_t;
@@ -29,8 +28,6 @@ constexpr Bytes megabytes(double v) { return static_cast<Bytes>(v * 1024 * 1024)
 /// Link and channel rates in bits per second.
 using BitRate = double;
 
-constexpr BitRate bits_per_sec(double v) { return v; }
-constexpr BitRate kbps(double v) { return v * 1e3; }
 constexpr BitRate mbps(double v) { return v * 1e6; }
 constexpr BitRate gbps(double v) { return v * 1e9; }
 

@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <string>
 #include <vector>
 
@@ -29,18 +27,7 @@ class DiskArray : public BlockDevice {
   }
 
   sim::Task<bool> read(std::int64_t block, sim::Bytes bytes) override {
-    ++block_reads_[block];
     return spindle(block).read(block / stride(), bytes);
-  }
-  /// Debug/ablation aid: most frequently read blocks.
-  [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>> hot_blocks(
-      std::size_t n) const {
-    std::vector<std::pair<std::int64_t, std::uint64_t>> v(block_reads_.begin(),
-                                                          block_reads_.end());
-    std::sort(v.begin(), v.end(),
-              [](const auto& a, const auto& b) { return a.second > b.second; });
-    if (v.size() > n) v.resize(n);
-    return v;
   }
   sim::Task<bool> write(std::int64_t block, sim::Bytes bytes) override {
     return spindle(block).write(block / stride(), bytes);
@@ -123,7 +110,6 @@ class DiskArray : public BlockDevice {
   }
 
   std::vector<std::unique_ptr<Disk>> disks_;
-  std::unordered_map<std::int64_t, std::uint64_t> block_reads_;
 };
 
 }  // namespace dclue::storage

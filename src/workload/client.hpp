@@ -175,7 +175,6 @@ class YcsbFleet {
     return conn_failures_;
   }
   [[nodiscard]] int inflight() const { return admission_.inflight(); }
-  [[nodiscard]] std::size_t queue_depth() const { return admission_.depth(); }
   [[nodiscard]] std::size_t queue_max_depth() const {
     return admission_.max_depth();
   }

@@ -1,13 +1,17 @@
-/// Golden-output regression test: a miniature Fig-6-style scaling point (2
-/// nodes, affinity 0.8) must reproduce the committed fixture byte for byte.
-/// The datapath and engine refactors promise "memory behavior only, event
-/// ordering untouched" — this test is what turns a silently shifted figure
-/// into a CI failure. The fixture also pins the number of events the engine
-/// executed, so a change in events per run shows as a fixture diff.
+/// Golden-output regression tests: two miniature points must reproduce their
+/// committed fixtures byte for byte. A Fig-6-style TPC-C scaling point (2
+/// nodes, affinity 0.8) pins the paper's report block; a YCSB-A point over
+/// RDMA with FTP cross traffic and two LATAs pins the fields the TPC-C point
+/// leaves at 0 (transport, YCSB ops and the sojourn quantiles merged over
+/// two client fleets, FTP carried load). The datapath and engine refactors
+/// promise "memory behavior only, event ordering untouched" — these tests
+/// are what turn a silently shifted figure into a CI failure. Each fixture
+/// also pins the number of events the engine executed, so a change in
+/// events per run shows as a fixture diff.
 ///
 /// To regenerate after an *intentional* model change, run with
-/// GOLDEN_UPDATE=1 and paste the block it prints into
-/// golden_fig06_fixture.inc (keep the raw-string delimiters).
+/// GOLDEN_UPDATE=1 and paste each block it prints into the fixture it names
+/// (keep the raw-string delimiters).
 
 #include <gtest/gtest.h>
 
@@ -40,8 +44,33 @@ std::string format_report(const RunReport& r) {
   return out;
 }
 
-constexpr const char* kFixture =
+/// Run \p cfg and compare its report block plus the executed-event count
+/// with \p fixture (the contents of \p fixture_file).
+void expect_golden(const ClusterConfig& cfg, const char* fixture_file,
+                   const char* fixture) {
+  Cluster cluster(cfg);
+  const RunReport r = cluster.run();
+  const std::string got = format_report(r) + "events=" +
+                          std::to_string(cluster.engine().events_executed()) +
+                          "\n";
+  if (std::getenv("GOLDEN_UPDATE") != nullptr) {
+    std::printf("--- GOLDEN_UPDATE: paste into %s ---\n"
+                "R\"golden(\n%s)golden\"\n"
+                "--- end ---\n",
+                fixture_file, got.c_str());
+  }
+  EXPECT_EQ(std::string(fixture), std::string("\n") + got)
+      << "metrics block diverged from " << fixture_file
+      << "; if the model change is intentional, regenerate with "
+         "GOLDEN_UPDATE=1";
+}
+
+constexpr const char* kFig06Fixture =
 #include "golden_fig06_fixture.inc"
+    ;  // NOLINT
+
+constexpr const char* kYcsbRdmaFixture =
+#include "golden_ycsb_rdma_fixture.inc"
     ;  // NOLINT
 
 TEST(GoldenFig, TwoNodeScalingPointIsBitIdentical) {
@@ -53,21 +82,26 @@ TEST(GoldenFig, TwoNodeScalingPointIsBitIdentical) {
   cfg.seed = 7;
   cfg.warmup = 1.0;
   cfg.measure = 4.0;
+  expect_golden(cfg, "golden_fig06_fixture.inc", kFig06Fixture);
+}
 
-  Cluster cluster(cfg);
-  const RunReport r = cluster.run();
-  const std::string got = format_report(r) + "events=" +
-                          std::to_string(cluster.engine().events_executed()) +
-                          "\n";
-  if (std::getenv("GOLDEN_UPDATE") != nullptr) {
-    std::printf("--- GOLDEN_UPDATE: paste into golden_fig06_fixture.inc ---\n"
-                "R\"golden(\n%s)golden\"\n"
-                "--- end ---\n",
-                got.c_str());
-  }
-  EXPECT_EQ(std::string(kFixture), std::string("\n") + got)
-      << "metrics block diverged from the committed fixture; if the model "
-         "change is intentional, regenerate with GOLDEN_UPDATE=1";
+TEST(GoldenFig, EightNodeYcsbRdmaPointIsBitIdentical) {
+  // 8 nodes in 2 LATAs give 2 client hosts, so the sojourn quantiles come
+  // from two merged fleet histograms; FTP loads the inter-LATA trunks.
+  ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.max_servers_per_lata = 4;
+  cfg.affinity = 0.8;
+  cfg.workload_spec = "ycsb-a";
+  cfg.transport_spec = "rdma";
+  cfg.ftp.offered_load_mbps = 50.0;
+  cfg.warehouses_override = 8;
+  cfg.ycsb_records = 20'000;
+  cfg.ycsb_arrival = "poisson:40";
+  cfg.seed = 7;
+  cfg.warmup = 1.0;
+  cfg.measure = 2.0;
+  expect_golden(cfg, "golden_ycsb_rdma_fixture.inc", kYcsbRdmaFixture);
 }
 
 }  // namespace

@@ -133,12 +133,42 @@ TEST(MetricsRegistry, HistogramSnapshotCarriesQuantiles) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("lat", 0.0, 100.0, 100);
   for (int i = 0; i < 100; ++i) h.record(i + 0.5);
-  const MetricValue* mv = reg.snapshot(0.0).find("lat");
+  const Snapshot snap = reg.snapshot(0.0);
+  const MetricValue* mv = snap.find("lat");
   ASSERT_NE(mv, nullptr);
   EXPECT_EQ(mv->kind, MetricKind::kHistogram);
   EXPECT_NEAR(mv->p50, 50.0, 1.5);
   EXPECT_NEAR(mv->p95, 95.0, 1.5);
   EXPECT_NEAR(mv->p99, 99.0, 1.5);
+}
+
+TEST(MetricsRegistry, SnapshotKeepsDistributionCopiesOutOfJson) {
+  MetricsRegistry reg;
+  Tally& t = reg.tally("t");
+  Histogram& h = reg.histogram("h", 0.0, 10.0, 10);
+  t.record(1.0);
+  t.record(5.0);
+  h.record(2.5);
+  const Snapshot snap = reg.snapshot(0.0);
+  t.record(100.0);
+  h.record(9.5);
+  // The copies are the collectors as they were at snapshot time.
+  EXPECT_EQ(snap.find("t")->tally.count(), 2u);
+  EXPECT_EQ(snap.find("t")->tally.max(), 5.0);
+  ASSERT_TRUE(snap.find("h")->histogram.has_value());
+  EXPECT_EQ(snap.find("h")->histogram->bins()[2], 1u);
+  EXPECT_EQ(snap.find("h")->histogram->bins()[9], 0u);
+  EXPECT_FALSE(snap.find("t")->histogram.has_value());
+  // JSON prints the summary fields only, never the copies.
+  Snapshot bare = snap;
+  for (MetricValue& m : bare.metrics) {
+    m.tally = Tally{};
+    m.histogram.reset();
+  }
+  std::string with, without;
+  snap.append_json(with, 0);
+  bare.append_json(without, 0);
+  EXPECT_EQ(with, without);
 }
 
 TEST(MetricsRegistry, SnapshotJsonIsWellFormedPerMetric) {
