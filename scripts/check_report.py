@@ -14,6 +14,9 @@ Checks:
     measure_seconds (= measure), transport (0 = tcp, 1 = rdma), and
     shard_count (0 exactly when shards is 0, never more than shards)
   - per point, the run did work: txns or ycsb_ops is above 0
+  - across points, the config echo is complete: runs are deterministic, so
+    two points with identical echoes must have identical reports (a pair
+    that differs ran a knob the echo leaves out)
   - per registry metric: name, known kind, finite numeric value; distribution
     kinds (tally, histogram) carry the stats block; histograms carry quantiles
   - all finite: no NaN/Inf anywhere in report or registry values
@@ -142,6 +145,18 @@ def check_point(point, idx):
     return names
 
 
+def check_echoes_identify_runs(points):
+    """Two points with the same config echo must report the same values."""
+    first_with_echo = {}
+    for idx, point in enumerate(points):
+        echo = json.dumps(point["config"], sort_keys=True)
+        first = first_with_echo.setdefault(echo, idx)
+        require(points[first]["report"] == point["report"],
+                f"points[{first}] and points[{idx}]: identical config echoes "
+                f"but different reports (the echo omits a knob that changed "
+                f"the run)")
+
+
 def check_file(path, min_points, expect_metrics):
     with open(path) as f:
         doc = json.load(f)
@@ -160,6 +175,7 @@ def check_file(path, min_points, expect_metrics):
         for wanted in expect_metrics:
             require(wanted in names,
                     f"points[{idx}]/registry: expected metric {wanted!r} absent")
+    check_echoes_identify_runs(points)
     return len(points)
 
 

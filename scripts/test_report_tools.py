@@ -138,6 +138,22 @@ class CheckReport(ReportToolTest):
         doc["points"][1]["report"].update(txns=0, ycsb_ops=120.0)
         self.assertEqual(self.check(doc), 0)
 
+    def test_identical_echoes_with_different_reports_fail(self):
+        # Two runs of one echoed config that disagree: the echo misses a
+        # knob (Fig 10's growth rule before it was echoed).
+        doc = make_report()
+        doc["points"][1]["config"] = dict(doc["points"][0]["config"])
+        doc["points"][1]["report"]["shard_count"] = 0
+        self.assertEqual(self.check(doc), 1)
+
+    def test_echoes_that_differ_in_one_knob_pass(self):
+        doc = make_report()
+        for i, growth in enumerate((0, 1)):
+            doc["points"][i]["config"] = dict(doc["points"][0]["config"],
+                                              growth=growth)
+        doc["points"][1]["report"]["shard_count"] = 0
+        self.assertEqual(self.check(doc), 0)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -81,9 +81,9 @@ void Cluster::plan_shards() {
     plan.shard_of_domain[static_cast<std::size_t>(d)] = d % plan.shards;
   }
   shards_ = std::make_unique<sim::ShardSet>(std::move(plan));
-  rendezvous_ = std::make_unique<sim::Engine::SharedRendezvous>();
+  rendezvous_ = std::make_unique<sim::Engine::Rendezvous>();
   for (int s = 0; s < shards_->shards(); ++s) {
-    shards_->engine(s).set_shared_rendezvous(rendezvous_.get());
+    shards_->engine(s).share_rendezvous(*rendezvous_);
   }
   node_scn_.assign(static_cast<std::size_t>(cfg_.nodes), 1);
 }

@@ -124,7 +124,7 @@ class Cluster {
   sim::Engine engine_;
   sim::RngFactory rngs_;
   std::unique_ptr<sim::ShardSet> shards_;
-  std::unique_ptr<sim::Engine::SharedRendezvous> rendezvous_;
+  std::unique_ptr<sim::Engine::Rendezvous> rendezvous_;
   ShardDomains dom_;
   /// Per-node Lamport commit clocks (sharded mode; legacy shares
   /// global_clock_). IPC envelopes piggyback and max-merge them.

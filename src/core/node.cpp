@@ -43,20 +43,16 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   tcp_ = std::make_unique<net::TcpStack>(engine, nic, tcp_params, tcp_costs,
                                          make_charge(proc_.get()));
   // The cluster-fabric transport (IPC + iSCSI sessions). TCP is the paper's
-  // baseline and forwards straight to the stack above; RDMA brings up a
-  // second, kernel-bypass stack on the same NIC. The TCP stack always exists:
-  // DB clients speak TCP regardless of the cluster fabric.
-  switch (net::parse_transport_spec(cfg.transport_spec)) {
-    case net::TransportKind::kTcp:
-      transport_ = std::make_unique<net::TcpTransport>(*tcp_);
-      break;
-    case net::TransportKind::kRdma: {
-      net::RdmaParams rdma_params;
-      rdma_params.timer_scale = 0.01 * cfg.scale;  // same reduction as TCP
-      rdma_ = std::make_unique<net::RdmaStack>(engine, nic, rdma_params);
-      transport_ = std::make_unique<net::RdmaTransport>(*rdma_);
-      break;
-    }
+  // baseline and is the stack above; RDMA brings up a second, kernel-bypass
+  // stack on the same NIC. The TCP stack always exists: DB clients speak TCP
+  // regardless of the cluster fabric.
+  transport_ = tcp_.get();
+  if (net::parse_transport_spec(cfg.transport_spec) ==
+      net::TransportKind::kRdma) {
+    net::RdmaParams rdma_params;
+    rdma_params.timer_scale = 0.01 * cfg.scale;  // same reduction as TCP
+    rdma_ = std::make_unique<net::RdmaStack>(engine, nic, rdma_params);
+    transport_ = rdma_.get();
   }
 
   // --- storage ----------------------------------------------------------------
@@ -222,9 +218,7 @@ void Node::register_metrics(obs::MetricsRegistry& reg) {
   stats_.register_into(reg, id_);
   proc_->register_metrics(reg, p + "cpu.");
   tcp_->register_metrics(reg, p + "tcp.");
-  // TCP's adapter no-ops here (the stack binding above is the seed-era one);
-  // the RDMA adapter binds its stack under node<i>.rdma.*.
-  transport_->register_metrics(reg, p);
+  if (rdma_) rdma_->register_metrics(reg, p + "rdma.");
   ipc_->register_metrics(reg, p + "ipc.sent.");
   locks_->register_metrics(reg, p + "lock.");
   data_disk_->register_metrics(reg, p + "disk.data.");

@@ -59,7 +59,7 @@ class Node {
 
   [[nodiscard]] int id() const { return id_; }
   [[nodiscard]] net::TcpStack& tcp() { return *tcp_; }
-  /// The configured cluster-fabric transport (ClusterConfig::transport_spec):
+  /// The configured cluster-fabric stack (ClusterConfig::transport_spec):
   /// IPC and iSCSI sessions ride this. The DB client port always stays on
   /// the TCP stack — client fleets are outside the cluster fabric.
   [[nodiscard]] net::Transport& transport() { return *transport_; }
@@ -107,7 +107,7 @@ class Node {
   std::unique_ptr<cpu::Processor> proc_;
   std::unique_ptr<net::TcpStack> tcp_;
   std::unique_ptr<net::RdmaStack> rdma_;  ///< built only when configured
-  std::unique_ptr<net::Transport> transport_;
+  net::Transport* transport_ = nullptr;  ///< tcp_ or rdma_, as configured
   std::unique_ptr<storage::DiskArray> data_disk_;
   std::unique_ptr<storage::Disk> log_disk_;
   std::unique_ptr<proto::IscsiTarget> iscsi_target_;

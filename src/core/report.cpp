@@ -94,6 +94,7 @@ void append_config(std::string& out, const ClusterConfig& c,
       {"open_loop_bt_rate_per_node", c.open_loop_bt_rate_per_node},
       {"max_servers_per_lata", static_cast<double>(c.max_servers_per_lata)},
       {"tpmc_per_node", c.tpmc_per_node},
+      {"growth", static_cast<double>(c.growth)},
       {"warehouses_override", static_cast<double>(c.warehouses_override)},
       {"customers_per_district", static_cast<double>(c.customers_per_district)},
       {"items", static_cast<double>(c.items)},

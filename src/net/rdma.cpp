@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace dclue::net {
 
@@ -11,7 +10,7 @@ namespace dclue::net {
 // ---------------------------------------------------------------------------
 
 RdmaStack::RdmaStack(sim::Engine& engine, Nic& nic, RdmaParams params)
-    : engine_(engine), nic_(nic), params_(params) {
+    : Transport(engine, TransportKind::kRdma), nic_(nic), params_(params) {
   nic_.set_rdma_rx_handler([this](Packet pkt) { on_packet(std::move(pkt)); });
 }
 
@@ -25,23 +24,16 @@ void RdmaStack::register_metrics(obs::MetricsRegistry& reg,
                [this] { return static_cast<double>(open_connections()); });
 }
 
-std::shared_ptr<RdmaConnection> RdmaStack::connect(Address dst,
-                                                   std::uint16_t port,
-                                                   Dscp dscp) {
-  // Same id discipline as TCP: engine-allocated, unique within the run,
-  // independent of concurrent sweep points.
+std::shared_ptr<Endpoint> RdmaStack::connect(Address dst, std::uint16_t port,
+                                             Dscp dscp) {
   auto conn = std::shared_ptr<RdmaConnection>(new RdmaConnection(
-      *this, engine_.allocate_id(), dst, dscp, /*active=*/true));
-  conn->syn_port_ = port;
-  connections_[conn->id()] = conn;
-  conn->start_handshake();
+      *this, engine().allocate_id(), dst, dscp, port, /*listener=*/nullptr));
+  adopt(conn);
+  // Connection setup costs a network round trip (the CM exchange) but no
+  // host CPU: QP creation is a control-plane operation.
+  conn->emit_control(/*syn=*/true, /*ack=*/false);
+  conn->arm_rto();
   return conn;
-}
-
-Listener& RdmaStack::listen(std::uint16_t port) {
-  auto& slot = listeners_[port];
-  if (!slot) slot = std::make_unique<Listener>(engine_);
-  return *slot;
 }
 
 void RdmaStack::on_packet(Packet pkt) {
@@ -49,28 +41,21 @@ void RdmaStack::on_packet(Packet pkt) {
   // hop — the whole receive path is this synchronous call chain.
   frames_received_.record();
   const auto& seg = pkt.seg;
-  if (seg.conn_id != last_conn_id_ || last_conn_ == nullptr) {
-    auto it = connections_.find(seg.conn_id);
-    if (it == connections_.end()) {
-      // Passive open: rendezvous with a listener on the advertised port.
-      // Anything else is a stale frame for a closed queue pair: ignore.
-      if (seg.syn && !seg.is_ack) accept_syn(pkt);
-      return;
-    }
-    last_conn_id_ = seg.conn_id;
-    last_conn_ = it->value.get();
+  if (auto* conn = static_cast<RdmaConnection*>(find(seg.conn_id))) {
+    conn->process_frame(seg);
+    return;
   }
-  last_conn_->process_frame(seg);
+  // Passive open: rendezvous with a listener on the advertised port.
+  // Anything else is a stale frame for a closed queue pair: ignore.
+  if (seg.syn && !seg.is_ack) accept_syn(pkt);
 }
 
 void RdmaStack::accept_syn(const Packet& pkt) {
-  const auto& seg = pkt.seg;
-  auto lit = listeners_.find(seg.dst_port);
-  if (lit == listeners_.end()) return;  // connection refused: ignore
+  Listener* listener = listener_on(pkt.seg.dst_port);
+  if (listener == nullptr) return;  // connection refused: ignore
   auto conn = std::shared_ptr<RdmaConnection>(new RdmaConnection(
-      *this, seg.conn_id, pkt.src, pkt.dscp, /*active=*/false));
-  conn->listener_ = lit->value.get();
-  connections_[conn->id()] = conn;
+      *this, pkt.seg.conn_id, pkt.src, pkt.dscp, /*port=*/0, listener));
+  adopt(conn);
   conn->emit_control(/*syn=*/true, /*ack=*/true);
   conn->arm_rto();
 }
@@ -118,16 +103,7 @@ void RdmaStack::pace_next() {
   const sim::Duration tx =
       sim::transmission_time(pkt.bytes, nic_.uplink().rate());
   nic_.send(std::move(pkt));
-  engine_.after(tx, [this] { pace_next(); });
-}
-
-void RdmaStack::remove_connection(std::uint64_t id) {
-  // Defer so that any in-flight processing of this connection finishes first
-  // (same discipline as TcpStack::remove_connection).
-  engine_.after(0.0, [this, id] {
-    if (last_conn_id_ == id) last_conn_ = nullptr;
-    connections_.erase(id);
-  });
+  engine().after(tx, [this] { pace_next(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -135,13 +111,8 @@ void RdmaStack::remove_connection(std::uint64_t id) {
 // ---------------------------------------------------------------------------
 
 RdmaConnection::RdmaConnection(RdmaStack& stack, std::uint64_t id, Address peer,
-                               Dscp dscp, bool active)
-    : stack_(stack),
-      id_(id),
-      peer_(peer),
-      dscp_(dscp),
-      state_(active ? State::kConnecting : State::kAccepting),
-      established_(stack.engine()),
+                               Dscp dscp, std::uint16_t port, Listener* listener)
+    : Endpoint(stack, id, peer, dscp, port, listener),
       rate_(stack.port_rate()),
       cwnd_frames_(stack.params().credits) {}
 
@@ -158,8 +129,14 @@ void RdmaConnection::inject_next() {
   // the (already spaced) frames of all queue pairs at line rate. Raw `this`
   // capture: cancelled by every teardown path and by ~RdmaConnection.
   const sim::Duration gap = sim::transmission_time(pkt.bytes, rate_);
-  stack_.transmit(std::move(pkt));
-  inject_timer_ = stack_.engine().after(gap, [this] { inject_next(); });
+  stack().transmit(std::move(pkt));
+  inject_timer_ = engine().after(gap, [this] { inject_next(); });
+}
+
+void RdmaConnection::stop_injecting() {
+  inject_timer_.cancel();
+  tx_ring_.clear();
+  injecting_ = false;
 }
 
 void RdmaConnection::on_congestion_event() {
@@ -168,19 +145,10 @@ void RdmaConnection::on_congestion_event() {
   // window: a burst of CNPs (or a CNP racing a rewind) reflects one
   // congestion episode, not several.
   const double floor =
-      stack_.port_rate() * stack_.params().cc_min_rate_fraction;
+      stack().port_rate() * stack().params().cc_min_rate_fraction;
   rate_ = std::max(rate_ * 0.5, floor);
   cwnd_frames_ = std::max(1, cwnd_frames_ / 2);
   cnp_reduce_until_ = snd_nxt_;
-}
-
-sim::Engine& RdmaConnection::engine() { return stack_.engine(); }
-
-void RdmaConnection::start_handshake() {
-  // Connection setup costs a network round trip (the CM exchange below) but
-  // no host CPU: QP creation is a control-plane operation.
-  emit_control(/*syn=*/true, /*ack=*/false);
-  arm_rto();
 }
 
 void RdmaConnection::send(sim::Bytes n) {
@@ -190,18 +158,17 @@ void RdmaConnection::send(sim::Bytes n) {
 }
 
 void RdmaConnection::close() {
-  closing_requested_ = true;
-  if (state_ == State::kEstablished) state_ = State::kClosing;
+  request_close();
   pump();
 }
 
 void RdmaConnection::pump() {
   if (state_ != State::kEstablished && state_ != State::kClosing) return;
-  const sim::Bytes mtu = stack_.params().mtu;
+  const sim::Bytes mtu = stack().params().mtu;
   // Effective window: receiver credits, clamped by the congestion-control
   // in-flight cap. The frame that fills either edge is ack-soliciting, so
   // the window reopens without waiting for the retry timer.
-  const sim::Bytes wnd = std::min(stack_.params().window_bytes(),
+  const sim::Bytes wnd = std::min(stack().params().window_bytes(),
                                   static_cast<sim::Bytes>(cwnd_frames_) * mtu);
   for (;;) {
     const sim::Bytes avail = app_total_ - snd_nxt_;
@@ -213,25 +180,19 @@ void RdmaConnection::pump() {
       const bool burst_end = (avail == len);
       const bool credit_edge = (flight() + len >= wnd);
       const bool solicit = burst_end || credit_edge ||
-                           since_solicit_ + 1 >= stack_.params().ack_every;
+                           since_solicit_ + 1 >= stack().params().ack_every;
       since_solicit_ = solicit ? 0 : since_solicit_ + 1;
       const std::int64_t seq = snd_nxt_;
       snd_nxt_ += len;
-      if (solicit && rtt_seq_ < 0) {
-        // Start an RTT sample on an ack-soliciting frame (its ack returns
-        // immediately, so the sample is not inflated by ack coalescing).
-        rtt_seq_ = snd_nxt_;
-        rtt_sent_at_ = stack_.engine().now();
-      }
+      // Sample RTT on an ack-soliciting frame only (its ack returns
+      // immediately, so the sample is not inflated by ack coalescing).
+      if (solicit) start_rtt_sample();
       emit_data(seq, len, /*fin=*/false, solicit);
       if (!rto_timer_.pending()) arm_rto();
       continue;
     }
-    if (closing_requested_ && !fin_sent_ && snd_nxt_ == app_total_) {
-      fin_seq_ = snd_nxt_;
-      snd_nxt_ += 1;  // the FIN analog consumes one sequence number
-      fin_sent_ = true;
-      emit_data(fin_seq_, 0, /*fin=*/true, /*solicit=*/true);
+    if (close_marker_due()) {
+      emit_data(take_close_marker(), 0, /*fin=*/true, /*solicit=*/true);
       if (!rto_timer_.pending()) arm_rto();
     }
     break;
@@ -255,7 +216,7 @@ void RdmaConnection::emit_data(std::int64_t seq, sim::Bytes len, bool fin,
   seg.ece = solicit;
   seg.cwr = ce_seen_;
   ce_seen_ = false;
-  stack_.emit(*this, seg, len);
+  stack().emit(*this, seg, len);
 }
 
 void RdmaConnection::emit_control(bool syn, bool ack) {
@@ -268,39 +229,27 @@ void RdmaConnection::emit_control(bool syn, bool ack) {
     ce_seen_ = false;
   }
   seg.dst_port = syn_port_;
-  stack_.emit(*this, seg, 0);
+  stack().emit(*this, seg, 0);
 }
 
 void RdmaConnection::send_ack_now() { emit_control(/*syn=*/false, /*ack=*/true); }
-
-std::int64_t RdmaConnection::ack_value() const {
-  // After the peer's in-order FIN the cumulative ack covers its seq slot.
-  if (peer_fin_ && rcv_nxt_ >= peer_fin_seq_) return rcv_nxt_ + 1;
-  return rcv_nxt_;
-}
 
 void RdmaConnection::process_frame(const TcpSegment& seg) {
   switch (state_) {
     case State::kConnecting:
       if (seg.syn && seg.is_ack) {
-        state_ = State::kEstablished;
-        rto_timer_.cancel();
-        rto_backoff_ = 0;
+        establish();
         consecutive_rto_ = 0;
         send_ack_now();
-        established_.open();
-        if (closing_requested_) state_ = State::kClosing;
+        open_established();
         pump();
       }
       return;
     case State::kAccepting:
       if (seg.syn && !seg.is_ack) return;  // dup request; SYN|ACK rexmits on timer
-      state_ = State::kEstablished;
-      rto_timer_.cancel();
-      rto_backoff_ = 0;
+      establish();
       consecutive_rto_ = 0;
-      established_.open();
-      if (listener_) listener_->publish(shared_from_this());
+      open_established();
       pump();
       // Fall through: the completing ack may carry data.
       break;
@@ -328,28 +277,13 @@ void RdmaConnection::process_payload(const TcpSegment& seg) {
     return;
   }
   const std::int64_t end = seg.seq + seg.len;
-  if (seg.fin) {
-    peer_fin_ = true;
-    peer_fin_seq_ = end;
-  }
+  if (seg.fin) note_peer_close(end);
   const std::int64_t old_rcv = rcv_nxt_;
   if (end > rcv_nxt_) rcv_nxt_ = end;
-  if (rcv_nxt_ > delivered_) {
-    sim::Bytes n = rcv_nxt_ - delivered_;
-    delivered_ = rcv_nxt_;
-    if (rx_handler_) {
-      rx_handler_(n);
-    } else {
-      rx_buffered_ += n;
-    }
-  }
-  const bool fin_ready = peer_fin_ && rcv_nxt_ >= peer_fin_seq_;
-  if (fin_ready) {
+  deliver();
+  if (peer_closed()) {
     send_ack_now();
-    if (!eof_signaled_) {
-      eof_signaled_ = true;
-      if (eof_handler_) eof_handler_();
-    }
+    signal_eof();
     maybe_finish_close();
   } else if (seg.ece || rcv_nxt_ == old_rcv) {
     // Ack-soliciting frame, or a pure duplicate (the peer rewound because
@@ -383,27 +317,15 @@ void RdmaConnection::process_ack(const TcpSegment& seg) {
 }
 
 void RdmaConnection::on_new_ack(std::int64_t acked_to) {
-  snd_una_ = acked_to;
-  consecutive_rto_ = 0;
-  rto_backoff_ = 0;
-  if (rtt_seq_ >= 0 && acked_to >= rtt_seq_) {
-    const sim::Duration sample = stack_.engine().now() - rtt_sent_at_;
-    if (srtt_ == 0.0) {
-      srtt_ = sample;
-      rttvar_ = sample / 2.0;
-    } else {
-      rttvar_ = 0.75 * rttvar_ + 0.25 * std::fabs(srtt_ - sample);
-      srtt_ = 0.875 * srtt_ + 0.125 * sample;
-    }
-    rtt_seq_ = -1;
-  }
+  note_new_ack(acked_to);
+  sample_rtt(acked_to);
   // Both controls recover ack-clocked, so only queue pairs that are
   // actively moving data climb back toward line rate: a sparse-RPC pair
   // that went idle after a cut stays cut, and cannot burst the pps-bound
   // forwarding engine when its next request fires. (Wall-clock recovery,
   // DCQCN-style, was tried and re-floods the fabric between requests.)
-  cwnd_frames_ = std::min(cwnd_frames_ + 1, stack_.params().credits);
-  const double port = stack_.port_rate();
+  cwnd_frames_ = std::min(cwnd_frames_ + 1, stack().params().credits);
+  const double port = stack().port_rate();
   rate_ = std::min(rate_ + port / 64.0, port);
   if (in_recovery_ && acked_to >= recover_) in_recovery_ = false;
   if (flight() > 0) {
@@ -411,13 +333,13 @@ void RdmaConnection::on_new_ack(std::int64_t acked_to) {
   } else {
     rto_timer_.cancel();
   }
-  if (fin_sent_ && snd_una_ >= fin_seq_ + 1) maybe_finish_close();
+  maybe_finish_close();
   pump();
 }
 
 void RdmaConnection::rewind_and_resend() {
   ++retransmit_count_;
-  stack_.retransmits_.record();
+  stack().retransmits_.record();
   on_congestion_event();
   // Go-back-N: restart from the first unacked byte. Credits cover the whole
   // rewind (recover_ - snd_una_ <= window), so one pump resends everything.
@@ -438,7 +360,7 @@ void RdmaConnection::arm_rto() {
   // raises it once acks are observed, so a standing fabric queue inflates
   // the timeout instead of triggering spurious go-back-N rewinds.
   const sim::Duration base =
-      std::max(stack_.params().rto(), srtt_ + 4.0 * rttvar_);
+      std::max(stack().params().rto(), srtt_ + 4.0 * rttvar_);
   const sim::Duration backoff_part = std::min(
       base * static_cast<double>(1 << std::min(rto_backoff_, 10)), base * 1024.0);
   // A hardware retry timer runs from the *transmission* of the unacked
@@ -447,15 +369,14 @@ void RdmaConnection::arm_rto() {
   // fire spuriously on frames still sitting in its own send queue.
   const sim::Duration timeout =
       backoff_part + sim::transmission_time(flight(), rate_);
-  // Raw capture: cancelled by every teardown path and by ~RdmaConnection.
-  rto_timer_ = stack_.engine().after(timeout, [this] { on_rto(); });
+  // Raw capture: cancelled by every teardown path and by ~Endpoint.
+  rto_timer_ = engine().after(timeout, [this] { on_rto(); });
 }
 
 void RdmaConnection::on_rto() {
   if (state_ == State::kClosed) return;
-  stack_.rto_fires_.record();
-  ++rto_backoff_;
-  if (++consecutive_rto_ > stack_.params().max_retransmits) {
+  stack().rto_fires_.record();
+  if (retries_exhausted(stack().params().max_retransmits)) {
     do_reset();
     return;
   }
@@ -476,25 +397,17 @@ void RdmaConnection::on_rto() {
 }
 
 void RdmaConnection::do_reset() {
-  state_ = State::kClosed;
-  rto_timer_.cancel();
-  inject_timer_.cancel();
-  tx_ring_.clear();
-  injecting_ = false;
+  enter_closed();
+  stop_injecting();
   established_.open();  // unblock connect()ors; they must check closed()
-  stack_.remove_connection(id_);
-  for (auto& handler : reset_handlers_) handler();
+  notify_reset();
 }
 
 void RdmaConnection::maybe_finish_close() {
-  const bool our_side_done = fin_sent_ && snd_una_ >= fin_seq_ + 1;
-  const bool peer_side_done = peer_fin_ && rcv_nxt_ >= peer_fin_seq_;
-  if (our_side_done && peer_side_done && state_ != State::kClosed) {
-    state_ = State::kClosed;
-    rto_timer_.cancel();
-    inject_timer_.cancel();  // ring is empty here: the FIN was acked
-    stack_.remove_connection(id_);
-  }
+  if (!close_complete()) return;
+  enter_closed();
+  stop_injecting();
+  unregister();
 }
 
 }  // namespace dclue::net

@@ -38,13 +38,15 @@
 ///     frame is ever created per frame or per message (checked by
 ///     ZeroAlloc.MsgChannelStreamSteadyState, tests/alloc).
 ///
-/// What is deliberately shared with TCP: frames ride the same links, router
-/// queues, QoS schedulers, and fault hooks (Packet::proto == kProtoRdma is
-/// demuxed only at the receiving NIC), the handshake/teardown state machine
-/// mirrors TCP's proven one (SYN/SYN|ACK/ACK analog; FIN analog consuming a
-/// sequence slot), and connection ids come from the same engine counter —
-/// so a configured run differs from its TCP twin *only* in transport
-/// behaviour, which is exactly the comparison EXPERIMENTS.md makes.
+/// What is shared with TCP: frames ride the same links, router queues, QoS
+/// schedulers, and fault hooks (Packet::proto == kProtoRdma is demuxed only
+/// at the receiving NIC), and the connection machine is the one both stacks
+/// inherit from net::Endpoint and net::Transport (net/transport.hpp): the
+/// SYN/SYN|ACK/ACK-style handshake, the close marker consuming a sequence
+/// slot, the retry timer's backoff and RTT estimate, in-order delivery, the
+/// endpoint table and the engine's connection-id counter. So a configured
+/// run differs from its TCP twin *only* in wire protocol, which is exactly
+/// the comparison EXPERIMENTS.md makes.
 
 #include <cstdint>
 #include <functional>
@@ -55,7 +57,6 @@
 #include "net/packet.hpp"
 #include "net/transport.hpp"
 #include "sim/engine.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/obs/registry.hpp"
 #include "sim/ring.hpp"
 #include "sim/obs/stats.hpp"
@@ -116,67 +117,25 @@ struct RdmaParams {
 
 class RdmaStack;
 
-/// One reliable-connection queue pair (net::Endpoint over the kernel-bypass
-/// fabric). Lifetime is shared between the stack and any application
-/// coroutine holding it, exactly like TcpConnection.
-class RdmaConnection : public Endpoint,
-                       public std::enable_shared_from_this<RdmaConnection> {
+/// One reliable-connection queue pair: the kernel-bypass wire protocol
+/// (credits, go-back-N, rate pacing and DCQCN-style congestion control) over
+/// the shared Endpoint machine.
+class RdmaConnection final : public Endpoint {
  public:
-  /// Mirrors TcpConnection's machine: kConnecting/kAccepting are the
-  /// SYN-sent/SYN-received analogs of the connect request exchange.
-  enum class State { kConnecting, kAccepting, kEstablished, kClosing, kClosed };
-
-  /// The retry and injection timers capture a raw `this` (same reasoning as
-  /// TCP's RTO timer: too hot for refcount traffic); teardown cancels them
-  /// and this destructor backstops connections dropped without one.
-  ~RdmaConnection() override {
-    rto_timer_.cancel();
-    inject_timer_.cancel();
-  }
+  /// The injection timer captures a raw `this`, like the retry timer.
+  ~RdmaConnection() override { inject_timer_.cancel(); }
 
   void send(sim::Bytes n) override;
-
-  using RxHandler = Endpoint::RxHandler;
-
-  void set_rx_handler(RxHandler fn) override {
-    rx_handler_ = std::move(fn);
-    if (rx_handler_ && rx_buffered_ > 0) {
-      sim::Bytes n = rx_buffered_;
-      rx_buffered_ = 0;
-      rx_handler_(n);
-    }
-  }
-  void add_reset_handler(std::function<void()> fn) override {
-    reset_handlers_.push_back(std::move(fn));
-  }
-  void set_eof_handler(std::function<void()> fn) override {
-    eof_handler_ = std::move(fn);
-    if (eof_signaled_ && eof_handler_) eof_handler_();
-  }
-
   /// Half-close: the FIN analog follows the last queued byte.
   void close() override;
-
-  sim::Gate& established() override { return established_; }
-
-  [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] bool closed() const override { return state_ == State::kClosed; }
-  [[nodiscard]] sim::Engine& engine() override;
-  [[nodiscard]] std::uint64_t id() const override { return id_; }
-  [[nodiscard]] Address peer() const override { return peer_; }
-  [[nodiscard]] Dscp dscp() const override { return dscp_; }
-  [[nodiscard]] sim::Bytes bytes_received() const { return delivered_; }
-  [[nodiscard]] sim::Bytes bytes_sent_acked() const {
-    return static_cast<sim::Bytes>(snd_una_);
-  }
-  [[nodiscard]] std::uint64_t retransmits() const { return retransmit_count_; }
 
  private:
   friend class RdmaStack;
   RdmaConnection(RdmaStack& stack, std::uint64_t id, Address peer, Dscp dscp,
-                 bool active);
+                 std::uint16_t port, Listener* listener);
 
-  void start_handshake();
+  [[nodiscard]] RdmaStack& stack() const;
+
   void process_frame(const TcpSegment& seg);
   void process_ack(const TcpSegment& seg);
   void process_payload(const TcpSegment& seg);
@@ -190,6 +149,8 @@ class RdmaConnection : public Endpoint,
   /// enter the port at `rate_`, so a congested connection throttles itself
   /// instead of dumping its whole credit window into the fabric.
   void inject_next();
+  /// Stop the rate pacer and drop what it still holds (teardown).
+  void stop_injecting();
   /// DCQCN multiplicative decrease, shared by the loss and CNP paths. At
   /// most one decrease per outstanding window (cnp_reduce_until_), the same
   /// once-per-RTT guard idiom as TcpConnection's ECN response.
@@ -202,40 +163,11 @@ class RdmaConnection : public Endpoint,
   void on_new_ack(std::int64_t acked_to);
   void do_reset();
   void maybe_finish_close();
-  [[nodiscard]] std::int64_t ack_value() const;
-  [[nodiscard]] sim::Bytes flight() const {
-    return static_cast<sim::Bytes>(snd_nxt_ - snd_una_);
-  }
-
-  RdmaStack& stack_;
-  std::uint64_t id_;
-  Address peer_;
-  Dscp dscp_;
-  State state_;
-  sim::Gate established_;
 
   // --- requester (sender) ----------------------------------------------------
-  std::int64_t app_total_ = 0;  ///< bytes submitted by the application
-  std::int64_t snd_una_ = 0;
-  std::int64_t snd_nxt_ = 0;
   int since_solicit_ = 0;       ///< frames since the last ack-soliciting one
   bool in_recovery_ = false;    ///< one rewind per loss event (NAK storm guard)
   std::int64_t recover_ = 0;
-  sim::EventHandle rto_timer_;
-  int rto_backoff_ = 0;
-  int consecutive_rto_ = 0;
-  /// Jacobson/Karn RTT estimator feeding the retry timer. The base_rto
-  /// constant is only the *floor*: once a PFC-lossless fabric develops a
-  /// standing queue, the real round trip can exceed any fixed timer by
-  /// orders of magnitude, and a fixed timeout turns into a spurious
-  /// go-back-N storm that feeds the very queue that delayed the ack.
-  /// Samples are taken on ack-soliciting frames only and discarded across
-  /// retransmissions (Karn's rule).
-  sim::Duration srtt_ = 0.0;
-  sim::Duration rttvar_ = 0.0;
-  std::int64_t rtt_seq_ = -1;    ///< cumulative-ack target of the live sample
-  sim::Time rtt_sent_at_ = 0.0;
-  std::uint64_t retransmit_count_ = 0;
   /// Current injection rate (bits/s). Starts at port rate; halved by
   /// on_congestion_event(), recovered additively per clean cumulative ack.
   double rate_ = 0.0;
@@ -251,43 +183,26 @@ class RdmaConnection : public Endpoint,
   bool injecting_ = false;
   sim::EventHandle inject_timer_;
   std::int64_t cnp_reduce_until_ = 0;
-  bool fin_sent_ = false;
-  bool closing_requested_ = false;
-  std::int64_t fin_seq_ = -1;
-  std::uint16_t syn_port_ = 0;
-  Listener* listener_ = nullptr;
 
   // --- responder (receiver) --------------------------------------------------
-  /// Strictly in-order: a frame that is not the next expected PSN is dropped
-  /// and NAKed (go-back-N), so there is no reassembly state at all.
-  std::int64_t rcv_nxt_ = 0;
-  std::int64_t delivered_ = 0;
-  sim::Bytes rx_buffered_ = 0;  ///< delivered before a handler existed
-  bool peer_fin_ = false;
-  std::int64_t peer_fin_seq_ = -1;
+  // Strictly in-order: a frame that is not the next expected PSN is dropped
+  // and NAKed (go-back-N), so there is no reassembly state at all.
   /// A CE-marked frame arrived and its CNP echo has not been sent yet.
   bool ce_seen_ = false;
-
-  RxHandler rx_handler_;
-  std::vector<std::function<void()>> reset_handlers_;
-  std::function<void()> eof_handler_;
-  bool eof_signaled_ = false;
 };
 
-/// Per-host RDMA NIC model: demultiplexes kProtoRdma frames, owns queue
-/// pairs. Charges nothing to the host CPU, ever — that is the point.
-class RdmaStack {
+/// Per-host RDMA NIC model: demultiplexes kProtoRdma frames into its
+/// endpoint table. Charges nothing to the host CPU, ever — that is the point.
+/// A node owns it alongside its TCP stack: DB clients stay on TCP even when
+/// the cluster fabric is RDMA, so both stacks coexist on one NIC.
+class RdmaStack final : public Transport {
  public:
   RdmaStack(sim::Engine& engine, Nic& nic, RdmaParams params);
 
   /// Active open; established() opens when the connect exchange completes.
-  std::shared_ptr<RdmaConnection> connect(Address dst, std::uint16_t port,
-                                          Dscp dscp = Dscp::kBestEffort);
+  std::shared_ptr<Endpoint> connect(Address dst, std::uint16_t port,
+                                    Dscp dscp = Dscp::kBestEffort) override;
 
-  /// Passive open.
-  Listener& listen(std::uint16_t port);
-
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const RdmaParams& params() const { return params_; }
   [[nodiscard]] Address address() const { return nic_.address(); }
 
@@ -299,9 +214,6 @@ class RdmaStack {
     return retransmits_.count();
   }
   [[nodiscard]] std::uint64_t rto_fires() const { return rto_fires_.count(); }
-  [[nodiscard]] std::size_t open_connections() const {
-    return connections_.size();
-  }
 
   /// Bind the stack's collectors under \p prefix ("node0.rdma.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
@@ -317,14 +229,12 @@ class RdmaStack {
   void emit(RdmaConnection& conn, TcpSegment seg, sim::Bytes payload_len);
   /// Hand one built frame to the port serializer.
   void transmit(Packet pkt);
-  void remove_connection(std::uint64_t id);
 
   [[nodiscard]] double port_rate() const;
 
   /// Drain the egress queue at port rate (one frame per serialization slot).
   void pace_next();
 
-  sim::Engine& engine_;
   Nic& nic_;
   RdmaParams params_;
   /// Port serializer: frames leave the port at line rate, one per
@@ -336,42 +246,14 @@ class RdmaStack {
   /// scheduling instead of one FIFO across queue pairs).
   sim::Ring<Packet> tx_queue_;
   bool tx_busy_ = false;
-  /// Hot-map convention (PR 5): flat open-addressing on the per-frame demux.
-  sim::FlatMap<std::uint64_t, std::shared_ptr<RdmaConnection>> connections_;
-  sim::FlatMap<std::uint16_t, std::unique_ptr<Listener>> listeners_;
-  /// One-entry demux cache (same trick as TcpStack::rx_dispatch); nulled
-  /// when the cached connection is unregistered.
-  std::uint64_t last_conn_id_ = 0;
-  RdmaConnection* last_conn_ = nullptr;
   obs::Counter frames_sent_;
   obs::Counter frames_received_;
   obs::Counter retransmits_;
   obs::Counter rto_fires_;
 };
 
-/// Transport adapter over a host's RdmaStack (owned by the node alongside
-/// its TCP stack — DB clients stay on TCP even when the cluster fabric is
-/// RDMA, so both stacks coexist on one NIC).
-class RdmaTransport final : public Transport {
- public:
-  explicit RdmaTransport(RdmaStack& stack) : stack_(stack) {}
-
-  std::shared_ptr<Endpoint> connect(Address dst, std::uint16_t port,
-                                    Dscp dscp) override {
-    return stack_.connect(dst, port, dscp);
-  }
-  Listener& listen(std::uint16_t port) override { return stack_.listen(port); }
-  [[nodiscard]] sim::Engine& engine() override { return stack_.engine(); }
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kRdma;
-  }
-  void register_metrics(obs::MetricsRegistry& reg,
-                        const std::string& prefix) override {
-    stack_.register_metrics(reg, prefix + "rdma.");
-  }
-
- private:
-  RdmaStack& stack_;
-};
+inline RdmaStack& RdmaConnection::stack() const {
+  return static_cast<RdmaStack&>(transport());
+}
 
 }  // namespace dclue::net

@@ -13,7 +13,7 @@ namespace dclue::net {
 
 TcpStack::TcpStack(sim::Engine& engine, Nic& nic, TcpParams params,
                    TcpCostModel costs, CpuCharge charge)
-    : engine_(engine),
+    : Transport(engine, TransportKind::kTcp),
       nic_(nic),
       params_(params),
       costs_(costs),
@@ -31,24 +31,13 @@ void TcpStack::register_metrics(obs::MetricsRegistry& reg,
                [this] { return static_cast<double>(open_connections()); });
 }
 
-std::shared_ptr<TcpConnection> TcpStack::connect(Address dst, std::uint16_t port,
-                                                 Dscp dscp) {
-  // Connection ids come from the engine so they are unique across every
-  // stack of one simulation yet independent of any other run in the process
-  // (a process-global counter would make concurrent sweep points diverge
-  // from their serial twins).
-  auto conn = std::shared_ptr<TcpConnection>(
-      new TcpConnection(*this, engine_.allocate_id(), dst, dscp, /*active=*/true));
-  conn->syn_port_ = port;
-  connections_[conn->id()] = conn;
+std::shared_ptr<Endpoint> TcpStack::connect(Address dst, std::uint16_t port,
+                                            Dscp dscp) {
+  auto conn = std::shared_ptr<TcpConnection>(new TcpConnection(
+      *this, engine().allocate_id(), dst, dscp, port, /*listener=*/nullptr));
+  adopt(conn);
   conn->start_handshake();
   return conn;
-}
-
-TcpListener& TcpStack::listen(std::uint16_t port) {
-  auto& slot = listeners_[port];
-  if (!slot) slot = std::make_unique<TcpListener>(engine_);
-  return *slot;
 }
 
 void TcpStack::on_packet(Packet pkt) {
@@ -76,33 +65,21 @@ sim::DetachedTask TcpStack::rx_process(Packet pkt) {
 void TcpStack::rx_dispatch(const Packet& pkt) {
   segments_received_.record();
   const auto& seg = pkt.seg;
-  // Consecutive segments almost always belong to the same connection, so a
-  // one-entry cache in front of the id map covers the bulk-transfer case.
-  // A raw pointer is safe across processing: closing a connection only
-  // schedules the map erase (remove_connection defers it through the engine
-  // precisely so in-flight processing finishes first).
-  if (seg.conn_id != last_conn_id_ || last_conn_ == nullptr) {
-    auto it = connections_.find(seg.conn_id);
-    if (it == connections_.end()) {
-      // Passive open: rendezvous with a listener on the advertised port.
-      // Anything else is a stale segment for a closed connection: ignore.
-      if (seg.syn && !seg.is_ack) accept_syn(pkt);
-      return;
-    }
-    last_conn_id_ = seg.conn_id;
-    last_conn_ = it->second.get();
+  if (auto* conn = static_cast<TcpConnection*>(find(seg.conn_id))) {
+    conn->process_segment(seg);
+    return;
   }
-  last_conn_->process_segment(seg);
+  // Passive open: rendezvous with a listener on the advertised port.
+  // Anything else is a stale segment for a closed connection: ignore.
+  if (seg.syn && !seg.is_ack) accept_syn(pkt);
 }
 
 void TcpStack::accept_syn(const Packet& pkt) {
-  const auto& seg = pkt.seg;
-  auto lit = listeners_.find(seg.dst_port);
-  if (lit == listeners_.end()) return;  // connection refused: ignore
+  Listener* listener = listener_on(pkt.seg.dst_port);
+  if (listener == nullptr) return;  // connection refused: ignore
   auto conn = std::shared_ptr<TcpConnection>(new TcpConnection(
-      *this, seg.conn_id, pkt.src, pkt.dscp, /*active=*/false));
-  conn->listener_ = lit->second.get();
-  connections_[conn->id()] = conn;
+      *this, pkt.seg.conn_id, pkt.src, pkt.dscp, /*port=*/0, listener));
+  adopt(conn);
   if (costs_.connection_setup == 0.0) {
     conn->send_control(/*syn=*/true, /*ack=*/true);
     conn->arm_rto();
@@ -110,7 +87,7 @@ void TcpStack::accept_syn(const Packet& pkt) {
   }
   sim::spawn([](std::shared_ptr<TcpConnection> c,
                 sim::PathLength setup) -> sim::Task<void> {
-    co_await c->stack_.charge_(setup, cpu::JobClass::kKernel);
+    co_await c->stack().charge_(setup, cpu::JobClass::kKernel);
     c->send_control(/*syn=*/true, /*ack=*/true);
     c->arm_rto();
   }(std::move(conn), costs_.connection_setup));
@@ -127,26 +104,13 @@ void TcpStack::emit(TcpConnection& conn, TcpSegment seg, sim::Bytes payload_len)
   nic_.send(std::move(pkt));
 }
 
-void TcpStack::remove_connection(std::uint64_t id) {
-  // Defer so that any in-flight processing of this connection finishes first.
-  engine_.after(0.0, [this, id] {
-    if (last_conn_id_ == id) last_conn_ = nullptr;
-    connections_.erase(id);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // TcpConnection
 // ---------------------------------------------------------------------------
 
 TcpConnection::TcpConnection(TcpStack& stack, std::uint64_t id, Address peer,
-                             Dscp dscp, bool active)
-    : stack_(stack),
-      id_(id),
-      peer_(peer),
-      dscp_(dscp),
-      state_(active ? State::kSynSent : State::kSynReceived),
-      established_(stack.engine()),
+                             Dscp dscp, std::uint16_t port, Listener* listener)
+    : Endpoint(stack, id, peer, dscp, port, listener),
       rto_(stack.params().initial_rto()),
       tx_signal_(stack.engine()) {
   const auto& p = stack.params();
@@ -154,27 +118,24 @@ TcpConnection::TcpConnection(TcpStack& stack, std::uint64_t id, Address peer,
   ssthresh_ = static_cast<double>(p.rwnd);
 }
 
-sim::Engine& TcpConnection::engine() { return stack_.engine(); }
-
 void TcpConnection::start_handshake() {
-  if (stack_.costs().connection_setup == 0.0) {
+  if (stack().costs().connection_setup == 0.0) {
     send_control(/*syn=*/true, /*ack=*/false);
     arm_rto();
     return;
   }
-  auto self = shared_from_this();
   sim::spawn([](std::shared_ptr<TcpConnection> c) -> sim::Task<void> {
-    co_await c->stack_.charge_(c->stack_.costs().connection_setup,
-                               cpu::JobClass::kKernel);
-    if (c->state_ != State::kSynSent) co_return;
+    co_await c->stack().charge_(c->stack().costs().connection_setup,
+                                cpu::JobClass::kKernel);
+    if (c->state_ != State::kConnecting) co_return;
     c->send_control(/*syn=*/true, /*ack=*/false);
     c->arm_rto();
-  }(self));
+  }(self()));
 }
 
 sim::Bytes TcpConnection::effective_window() const {
   const auto wnd = static_cast<sim::Bytes>(
-      std::min(cwnd_, static_cast<double>(stack_.params().rwnd)));
+      std::min(cwnd_, static_cast<double>(stack().params().rwnd)));
   return wnd - flight();
 }
 
@@ -185,8 +146,7 @@ void TcpConnection::send(sim::Bytes n) {
 }
 
 void TcpConnection::close() {
-  closing_requested_ = true;
-  if (state_ == State::kEstablished) state_ = State::kClosing;
+  request_close();
   transmit_pump_kick();
 }
 
@@ -218,42 +178,36 @@ void TcpConnection::transmit_pump_kick() {
 }
 
 sim::DetachedTask TcpConnection::transmit_pump() {
-  auto self = shared_from_this();
+  auto keep_alive = self();
   for (;;) {
     if (state_ == State::kClosed) break;
     if (state_ == State::kEstablished || state_ == State::kClosing) {
       const sim::Bytes avail = app_total_ - snd_nxt_;
-      const sim::Bytes mss = stack_.params().mss;
+      const sim::Bytes mss = stack().params().mss;
       if (avail > 0) {
         const sim::Bytes len = std::min<sim::Bytes>(mss, avail);
         if (effective_window() >= len || flight() == 0) {
           const sim::PathLength cost =
-              stack_.costs().per_segment_tx +
-              static_cast<double>(len) * stack_.costs().per_byte_tx;
+              stack().costs().per_segment_tx +
+              static_cast<double>(len) * stack().costs().per_byte_tx;
           if (cost != 0.0) {
-            co_await stack_.charge_(cost, cpu::JobClass::kKernel);
+            co_await stack().charge_(cost, cpu::JobClass::kKernel);
             if (state_ == State::kClosed) break;  // reset while charging
           }
           const std::int64_t seq = snd_nxt_;
           snd_nxt_ += len;
-          if (rtt_seq_ < 0) {
-            rtt_seq_ = snd_nxt_;
-            rtt_sent_at_ = stack_.engine().now();
-          }
+          start_rtt_sample();
           send_segment(seq, len, /*fin=*/false);
           if (!rto_timer_.pending()) arm_rto();
           continue;
         }
-      } else if (closing_requested_ && !fin_sent_ && snd_nxt_ == app_total_) {
-        if (stack_.costs().per_segment_tx != 0.0) {
-          co_await stack_.charge_(stack_.costs().per_segment_tx,
-                                  cpu::JobClass::kKernel);
+      } else if (close_marker_due()) {
+        if (stack().costs().per_segment_tx != 0.0) {
+          co_await stack().charge_(stack().costs().per_segment_tx,
+                                   cpu::JobClass::kKernel);
           if (state_ == State::kClosed) break;
         }
-        fin_seq_ = snd_nxt_;
-        snd_nxt_ += 1;  // FIN consumes one sequence number
-        fin_sent_ = true;
-        send_segment(fin_seq_, 0, /*fin=*/true);
+        send_segment(take_close_marker(), 0, /*fin=*/true);
         if (!rto_timer_.pending()) arm_rto();
         continue;
       }
@@ -278,7 +232,7 @@ void TcpConnection::send_segment(std::int64_t seq, sim::Bytes len, bool fin) {
   // Piggybacked ack resets the delayed-ack machinery.
   unacked_segments_ = 0;
   delack_timer_.cancel();
-  stack_.emit(*this, seg, len);
+  stack().emit(*this, seg, len);
 }
 
 void TcpConnection::send_control(bool syn, bool ack, bool fin) {
@@ -289,29 +243,22 @@ void TcpConnection::send_control(bool syn, bool ack, bool fin) {
   seg.ack = ack ? ack_value() : 0;
   seg.dst_port = syn_port_;
   seg.ece = ecn_echo_;
-  stack_.emit(*this, seg, 0);
-}
-
-std::int64_t TcpConnection::ack_value() const {
-  // After an in-order FIN the cumulative ack covers the FIN's sequence slot.
-  if (peer_fin_ && rcv_nxt_ >= peer_fin_seq_) return rcv_nxt_ + 1;
-  return rcv_nxt_;
+  stack().emit(*this, seg, 0);
 }
 
 void TcpConnection::send_ack_now() {
   delack_timer_.cancel();
   unacked_segments_ = 0;
-  if (stack_.costs().per_segment_tx == 0.0) {
+  if (stack().costs().per_segment_tx == 0.0) {
     send_control(/*syn=*/false, /*ack=*/true);
     return;
   }
-  auto self = shared_from_this();
   sim::spawn([](std::shared_ptr<TcpConnection> c) -> sim::Task<void> {
-    co_await c->stack_.charge_(c->stack_.costs().per_segment_tx,
-                               cpu::JobClass::kKernel);
+    co_await c->stack().charge_(c->stack().costs().per_segment_tx,
+                                cpu::JobClass::kKernel);
     if (c->state_ == State::kClosed) co_return;
     c->send_control(/*syn=*/false, /*ack=*/true);
-  }(self));
+  }(self()));
 }
 
 void TcpConnection::maybe_delayed_ack() {
@@ -320,8 +267,8 @@ void TcpConnection::maybe_delayed_ack() {
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_ = stack_.engine().after(
-        stack_.params().delayed_ack(), [this] {
+    delack_timer_ = engine().after(
+        stack().params().delayed_ack(), [this] {
           if (state_ != State::kClosed) send_ack_now();
         });
   }
@@ -329,24 +276,18 @@ void TcpConnection::maybe_delayed_ack() {
 
 void TcpConnection::process_segment(const TcpSegment& seg) {
   switch (state_) {
-    case State::kSynSent:
+    case State::kConnecting:
       if (seg.syn && seg.is_ack) {
-        state_ = State::kEstablished;
-        rto_timer_.cancel();
-        rto_backoff_ = 0;
+        establish();
         send_ack_now();
-        established_.open();
-        if (closing_requested_) state_ = State::kClosing;
+        open_established();
         transmit_pump_kick();
       }
       return;
-    case State::kSynReceived:
+    case State::kAccepting:
       if (seg.syn && !seg.is_ack) return;  // duplicate SYN; SYN|ACK will rexmit
-      state_ = State::kEstablished;
-      rto_timer_.cancel();
-      rto_backoff_ = 0;
-      established_.open();
-      if (listener_) listener_->publish(shared_from_this());
+      establish();
+      open_established();
       transmit_pump_kick();
       // Fall through: the completing ACK may carry data.
       break;
@@ -370,10 +311,7 @@ void TcpConnection::process_segment(const TcpSegment& seg) {
 void TcpConnection::process_payload(const TcpSegment& seg) {
   std::int64_t s = seg.seq;
   std::int64_t e = seg.seq + seg.len;
-  if (seg.fin) {
-    peer_fin_ = true;
-    peer_fin_seq_ = e;
-  }
+  if (seg.fin) note_peer_close(e);
   const bool was_in_order = (s <= rcv_nxt_ && e >= rcv_nxt_);
   if (e > rcv_nxt_ && seg.len > 0) {
     // Merge [s, e) into the sorted out-of-order range vector: absorb an
@@ -400,25 +338,12 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
       ooo_.erase_at(0);
     }
   }
-  // Deliver newly in-order payload to the application.
-  if (rcv_nxt_ > delivered_) {
-    sim::Bytes n = rcv_nxt_ - delivered_;
-    delivered_ = rcv_nxt_;
-    if (rx_handler_) {
-      rx_handler_(n);
-    } else {
-      rx_buffered_ += n;
-    }
-  }
-  const bool fin_ready = peer_fin_ && rcv_nxt_ >= peer_fin_seq_;
+  deliver();
   if (!ooo_.empty() && !was_in_order) {
     send_ack_now();  // duplicate ack signalling the hole
-  } else if (fin_ready) {
+  } else if (peer_closed()) {
     send_ack_now();
-    if (!eof_signaled_) {
-      eof_signaled_ = true;
-      if (eof_handler_) eof_handler_();
-    }
+    signal_eof();
     maybe_finish_close();
   } else if (seg.len > 0) {
     maybe_delayed_ack();
@@ -426,13 +351,13 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
 }
 
 void TcpConnection::process_ack(const TcpSegment& seg) {
-  const auto& p = stack_.params();
+  const auto& p = stack().params();
   if (seg.ece && p.ecn) {
     if (snd_una_ >= ecn_reduce_until_) {
       ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(p.mss));
       cwnd_ = ssthresh_;
-      DCLUE_TRACE_COUNTER("tcp", "cwnd", stack_.engine().now(), cwnd_,
-                          static_cast<std::uint32_t>(id_));
+      DCLUE_TRACE_COUNTER("tcp", "cwnd", engine().now(), cwnd_,
+                          static_cast<std::uint32_t>(id()));
       ecn_reduce_until_ = snd_nxt_;
       cwr_pending_ = true;
     }
@@ -452,16 +377,13 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
 }
 
 void TcpConnection::on_new_ack(std::int64_t acked_to) {
-  const auto& p = stack_.params();
+  const auto& p = stack().params();
   const sim::Bytes mss = p.mss;
   const std::int64_t newly = acked_to - snd_una_;
-  if (rtt_seq_ >= 0 && acked_to >= rtt_seq_) {
-    update_rtt(stack_.engine().now() - rtt_sent_at_);
-    rtt_seq_ = -1;
+  if (sample_rtt(acked_to)) {
+    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, p.min_rto(), p.max_rto());
   }
-  snd_una_ = acked_to;
-  consecutive_rto_ = 0;
-  rto_backoff_ = 0;
+  note_new_ack(acked_to);
 
   if (in_recovery_) {
     if (acked_to >= recover_) {
@@ -489,7 +411,7 @@ void TcpConnection::on_new_ack(std::int64_t acked_to) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < ack_waiters_.size(); ++i) {
     if (ack_waiters_[i].target <= snd_una_) {
-      sim::detail::resume_via_engine(stack_.engine(), ack_waiters_[i].handle);
+      sim::detail::resume_via_engine(engine(), ack_waiters_[i].handle);
     } else {
       ack_waiters_[kept++] = ack_waiters_[i];
     }
@@ -501,92 +423,78 @@ void TcpConnection::on_new_ack(std::int64_t acked_to) {
   } else {
     rto_timer_.cancel();
   }
-  if (fin_sent_ && snd_una_ >= fin_seq_ + 1) maybe_finish_close();
+  maybe_finish_close();
   transmit_pump_kick();
 }
 
-void TcpConnection::update_rtt(sim::Duration sample) {
-  const auto& p = stack_.params();
-  if (srtt_ == 0.0) {
-    srtt_ = sample;
-    rttvar_ = sample / 2.0;
-  } else {
-    rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - sample);
-    srtt_ = 0.875 * srtt_ + 0.125 * sample;
-  }
-  rto_ = std::clamp(srtt_ + 4.0 * rttvar_, p.min_rto(), p.max_rto());
-}
-
 void TcpConnection::enter_fast_recovery() {
-  const auto& p = stack_.params();
+  const auto& p = stack().params();
   ssthresh_ = std::max(static_cast<double>(flight()) / 2.0,
                        2.0 * static_cast<double>(p.mss));
   retransmit_at(snd_una_);
   cwnd_ = ssthresh_ + 3.0 * static_cast<double>(p.mss);
-  DCLUE_TRACE_COUNTER("tcp", "cwnd", stack_.engine().now(), cwnd_,
-                      static_cast<std::uint32_t>(id_));
+  DCLUE_TRACE_COUNTER("tcp", "cwnd", engine().now(), cwnd_,
+                      static_cast<std::uint32_t>(id()));
   in_recovery_ = true;
   recover_ = snd_nxt_;
 }
 
 void TcpConnection::retransmit_at(std::int64_t seq) {
   ++retransmit_count_;
-  stack_.retransmits_.record();
-  DCLUE_TRACE_INSTANT("tcp", "retransmit", stack_.engine().now(),
-                      static_cast<std::uint32_t>(id_));
+  stack().retransmits_.record();
+  DCLUE_TRACE_INSTANT("tcp", "retransmit", engine().now(),
+                      static_cast<std::uint32_t>(id()));
   rtt_seq_ = -1;  // Karn: do not sample RTT across a retransmission
   const bool is_fin = fin_sent_ && seq == fin_seq_;
   const sim::Bytes len =
       is_fin ? 0
-             : std::min<sim::Bytes>(stack_.params().mss, app_total_ - seq);
+             : std::min<sim::Bytes>(stack().params().mss, app_total_ - seq);
   const sim::PathLength cost =
-      stack_.costs().per_segment_tx +
-      static_cast<double>(len) * stack_.costs().per_byte_tx;
+      stack().costs().per_segment_tx +
+      static_cast<double>(len) * stack().costs().per_byte_tx;
   if (cost == 0.0) {
     send_segment(seq, len, is_fin);
     return;
   }
-  auto self = shared_from_this();
   sim::spawn([](std::shared_ptr<TcpConnection> c, std::int64_t seq,
                 sim::Bytes len, bool fin, sim::PathLength cost) -> sim::Task<void> {
-    co_await c->stack_.charge_(cost, cpu::JobClass::kKernel);
+    co_await c->stack().charge_(cost, cpu::JobClass::kKernel);
     if (c->state_ == State::kClosed) co_return;
     c->send_segment(seq, len, fin);
-  }(self, seq, len, is_fin, cost));
+  }(self(), seq, len, is_fin, cost));
 }
 
 void TcpConnection::arm_rto() {
   rto_timer_.cancel();
-  const auto& p = stack_.params();
+  const auto& p = stack().params();
   sim::Duration timeout =
       std::min(rto_ * static_cast<double>(1 << std::min(rto_backoff_, 16)),
                p.max_rto());
-  // Raw capture: cancelled by every teardown path and by ~TcpConnection.
-  rto_timer_ = stack_.engine().after(timeout, [this] { on_rto(); });
+  // Raw capture: cancelled by every teardown path and by ~Endpoint.
+  rto_timer_ = engine().after(timeout, [this] { on_rto(); });
 }
 
 void TcpConnection::on_rto() {
   if (state_ == State::kClosed) return;
-  stack_.rto_fires_.record();
-  DCLUE_TRACE_INSTANT("tcp", "rto", stack_.engine().now(),
-                      static_cast<std::uint32_t>(id_));
-  ++rto_backoff_;
-  if (++consecutive_rto_ > stack_.params().max_retransmits) {
+  stack().rto_fires_.record();
+  DCLUE_TRACE_INSTANT("tcp", "rto", engine().now(),
+                      static_cast<std::uint32_t>(id()));
+  if (retries_exhausted(stack().params().max_retransmits)) {
     do_reset();
     return;
   }
-  if (state_ == State::kSynSent) {
+  if (state_ == State::kConnecting) {
     send_control(/*syn=*/true, /*ack=*/false);
     arm_rto();
     return;
   }
-  if (state_ == State::kSynReceived) {
+  if (state_ == State::kAccepting) {
     send_control(/*syn=*/true, /*ack=*/true);
     arm_rto();
     return;
   }
   if (flight() <= 0) return;
-  const auto& p = stack_.params();
+  const auto& p = stack().params();
   ssthresh_ = std::max(static_cast<double>(flight()) / 2.0,
                        2.0 * static_cast<double>(p.mss));
   cwnd_ = static_cast<double>(p.mss);
@@ -597,29 +505,23 @@ void TcpConnection::on_rto() {
 }
 
 void TcpConnection::do_reset() {
-  state_ = State::kClosed;
-  rto_timer_.cancel();
+  enter_closed();
   delack_timer_.cancel();
   tx_signal_.notify();
-  established_.open();  // unblock connect()ors; they must check state()
+  established_.open();  // unblock connect()ors; they must check closed()
   for (const AckWaiter& w : ack_waiters_) {
-    sim::detail::resume_via_engine(stack_.engine(), w.handle);
+    sim::detail::resume_via_engine(engine(), w.handle);
   }
   ack_waiters_.clear();
-  stack_.remove_connection(id_);
-  for (auto& handler : reset_handlers_) handler();
+  notify_reset();
 }
 
 void TcpConnection::maybe_finish_close() {
-  const bool our_side_done = fin_sent_ && snd_una_ >= fin_seq_ + 1;
-  const bool peer_side_done = peer_fin_ && rcv_nxt_ >= peer_fin_seq_;
-  if (our_side_done && peer_side_done && state_ != State::kClosed) {
-    state_ = State::kClosed;
-    rto_timer_.cancel();
-    delack_timer_.cancel();
-    tx_signal_.notify();
-    stack_.remove_connection(id_);
-  }
+  if (!close_complete()) return;
+  enter_closed();
+  delack_timer_.cancel();
+  tx_signal_.notify();
+  unregister();
 }
 
 }  // namespace dclue::net

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "cpu/params.hpp"
 #include "net/nic.hpp"
@@ -75,79 +74,24 @@ struct TcpCostModel {
   }
 };
 
-// CpuCharge (and its zero-cost elision contract) lives with the transport
-// abstraction now — see net/transport.hpp. TCP is one of its implementors.
-
 class TcpStack;
 
-/// Passive TCP opens yield through the shared transport Listener (the stack
-/// publishes a connection when its handshake completes); the alias keeps the
-/// seed-era spelling at call sites.
-using TcpListener = Listener;
-
-/// One TCP connection endpoint (net::Endpoint over the paper's unified
-/// fabric). Lifetime is shared between the stack and any application
-/// coroutine holding it.
-class TcpConnection : public Endpoint,
-                      public std::enable_shared_from_this<TcpConnection> {
+/// One TCP connection endpoint: the paper's wire protocol over the shared
+/// Endpoint machine (segmenting, Reno windows with ECN, selective
+/// retransmission, delayed acks and CPU charging).
+class TcpConnection final : public Endpoint {
  public:
-  enum class State { kSynSent, kSynReceived, kEstablished, kClosing, kClosed };
+  /// The delayed-ack timer captures a raw `this`, like the retry timer.
+  ~TcpConnection() override { delack_timer_.cancel(); }
 
-  /// Pending timers capture a raw `this` (the per-ack RTO rearm is too hot
-  /// for shared_ptr refcount traffic), so they must never outlive the
-  /// connection: teardown paths cancel them, and this destructor backstops
-  /// any connection dropped without a clean teardown.
-  ~TcpConnection() override {
-    rto_timer_.cancel();
-    delack_timer_.cancel();
-  }
-
-  /// Queue \p n application bytes for transmission.
   void send(sim::Bytes n) override;
-
-  using RxHandler = Endpoint::RxHandler;
-
-  /// In-order payload bytes are delivered through this callback. Bytes that
-  /// arrive before a handler is installed are buffered and flushed to it.
-  void set_rx_handler(RxHandler fn) override {
-    rx_handler_ = std::move(fn);
-    if (rx_handler_ && rx_buffered_ > 0) {
-      sim::Bytes n = rx_buffered_;
-      rx_buffered_ = 0;
-      rx_handler_(n);
-    }
-  }
-  /// Called if the connection resets (retransmission limit exceeded).
-  /// Multiple handlers may register (protocol layer + application).
-  void add_reset_handler(std::function<void()> fn) override {
-    reset_handlers_.push_back(std::move(fn));
-  }
-
-  /// Called once when the peer's FIN has been received in order (clean EOF).
-  /// Fires immediately if the FIN already arrived.
-  void set_eof_handler(std::function<void()> fn) override {
-    eof_handler_ = std::move(fn);
-    if (eof_signaled_ && eof_handler_) eof_handler_();
-  }
-
   /// Half-close: a FIN follows the last queued byte.
   void close() override;
 
-  /// Awaitable: opens when the three-way handshake completes.
-  sim::Gate& established() override { return established_; }
   /// Awaitable: opens when every byte queued so far has been cumulatively
   /// acknowledged (used by request/response protocols for backpressure).
   sim::Task<void> wait_all_acked();
 
-  [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] bool closed() const override { return state_ == State::kClosed; }
-  [[nodiscard]] sim::Engine& engine() override;
-  [[nodiscard]] std::uint64_t id() const override { return id_; }
-  [[nodiscard]] Address peer() const override { return peer_; }
-  [[nodiscard]] Dscp dscp() const override { return dscp_; }
-  [[nodiscard]] sim::Bytes bytes_received() const { return delivered_; }
-  [[nodiscard]] sim::Bytes bytes_sent_acked() const { return snd_una_; }
-  [[nodiscard]] std::uint64_t retransmits() const { return retransmit_count_; }
   /// Out-of-order runs currently buffered by reassembly. Must drain back to
   /// zero once the stream is contiguous (loss-fuzz leak check).
   [[nodiscard]] std::size_t ooo_ranges() const { return ooo_.size(); }
@@ -155,7 +99,12 @@ class TcpConnection : public Endpoint,
  private:
   friend class TcpStack;
   TcpConnection(TcpStack& stack, std::uint64_t id, Address peer, Dscp dscp,
-                bool active);
+                std::uint16_t port, Listener* listener);
+
+  [[nodiscard]] TcpStack& stack() const;
+  [[nodiscard]] std::shared_ptr<TcpConnection> self() {
+    return std::static_pointer_cast<TcpConnection>(shared_from_this());
+  }
 
   void start_handshake();
   void process_segment(const TcpSegment& seg);
@@ -172,43 +121,19 @@ class TcpConnection : public Endpoint,
   void enter_fast_recovery();
   void retransmit_at(std::int64_t seq);
   void on_new_ack(std::int64_t acked_to);
-  void update_rtt(sim::Duration sample);
   void do_reset();
   void maybe_finish_close();
-  [[nodiscard]] std::int64_t ack_value() const;
-  [[nodiscard]] sim::Bytes flight() const { return snd_nxt_ - snd_una_; }
   [[nodiscard]] sim::Bytes effective_window() const;
 
-  TcpStack& stack_;
-  std::uint64_t id_;
-  Address peer_;
-  Dscp dscp_;
-  State state_;
-  sim::Gate established_;
-
   // --- sender ---------------------------------------------------------------
-  std::int64_t app_total_ = 0;  ///< bytes submitted by the application
-  std::int64_t snd_una_ = 0;
-  std::int64_t snd_nxt_ = 0;
   double cwnd_ = 0.0;
   double ssthresh_ = 0.0;
   int dupacks_ = 0;
   bool in_recovery_ = false;
   std::int64_t recover_ = 0;
   bool cwr_pending_ = false;      ///< must advertise CWR on next data segment
-  bool ecn_reduced_this_rtt_ = false;
   std::int64_t ecn_reduce_until_ = 0;
-  sim::Duration srtt_ = 0.0;
-  sim::Duration rttvar_ = 0.0;
   sim::Duration rto_;
-  int rto_backoff_ = 0;
-  sim::EventHandle rto_timer_;
-  std::int64_t rtt_seq_ = -1;
-  sim::Time rtt_sent_at_ = 0.0;
-  std::uint64_t retransmit_count_ = 0;
-  int consecutive_rto_ = 0;
-  bool fin_sent_ = false;
-  bool closing_requested_ = false;
   /// A coroutine parked in wait_all_acked(): resumed (deferred through the
   /// engine, like Gate) once snd_una_ reaches target. Value storage — the
   /// per-waiter Gate heap allocation this replaces showed up on every
@@ -221,9 +146,6 @@ class TcpConnection : public Endpoint,
   sim::Signal tx_signal_;
   bool pump_running_ = false;
   sim::SmallVec<AckWaiter, 4> ack_waiters_;
-  std::int64_t fin_seq_ = -1;
-  std::uint16_t syn_port_ = 0;
-  TcpListener* listener_ = nullptr;
 
   // --- receiver ---------------------------------------------------------------
   /// One out-of-order hole-bounded run of received bytes: [start, end).
@@ -232,42 +154,25 @@ class TcpConnection : public Endpoint,
     std::int64_t end;
   };
 
-  std::int64_t rcv_nxt_ = 0;
-  std::int64_t delivered_ = 0;
-  sim::Bytes rx_buffered_ = 0;  ///< delivered before a handler existed
   /// Out-of-order runs, sorted by start, disjoint and non-adjacent. Inline
   /// small-vector: reassembly rarely tracks more than a few holes (was a
   /// std::map — one heap node per hole on the loss path).
   sim::SmallVec<SeqRange, 8> ooo_;
   int unacked_segments_ = 0;
   sim::EventHandle delack_timer_;
-  bool peer_fin_ = false;
-  std::int64_t peer_fin_seq_ = -1;
-  bool fin_acked_ = false;
   bool ecn_echo_ = false;
-
-  RxHandler rx_handler_;
-  std::vector<std::function<void()>> reset_handlers_;
-  std::function<void()> eof_handler_;
-  bool eof_signaled_ = false;
 };
 
-/// Per-host TCP instance: demultiplexes packets, owns connections, charges
-/// protocol CPU costs.
-class TcpStack {
+/// Per-host TCP instance: demultiplexes packets into its endpoint table and
+/// charges protocol CPU costs.
+class TcpStack final : public Transport {
  public:
   TcpStack(sim::Engine& engine, Nic& nic, TcpParams params, TcpCostModel costs,
            CpuCharge charge);
 
-  /// Active open. The returned connection's established() gate opens when the
-  /// handshake completes.
-  std::shared_ptr<TcpConnection> connect(Address dst, std::uint16_t port,
-                                         Dscp dscp = Dscp::kBestEffort);
+  std::shared_ptr<Endpoint> connect(Address dst, std::uint16_t port,
+                                    Dscp dscp = Dscp::kBestEffort) override;
 
-  /// Passive open.
-  TcpListener& listen(std::uint16_t port);
-
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const TcpParams& params() const { return params_; }
   [[nodiscard]] const TcpCostModel& costs() const { return costs_; }
   [[nodiscard]] Address address() const { return nic_.address(); }
@@ -279,7 +184,6 @@ class TcpStack {
   }
   [[nodiscard]] std::uint64_t total_retransmits() const { return retransmits_.count(); }
   [[nodiscard]] std::uint64_t rto_fires() const { return rto_fires_.count(); }
-  [[nodiscard]] std::size_t open_connections() const { return connections_.size(); }
 
   /// Bind the stack's collectors under \p prefix ("node0.tcp.").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
@@ -293,48 +197,19 @@ class TcpStack {
   /// Passive open for an unmatched SYN (charges connection setup).
   void accept_syn(const Packet& pkt);
   void emit(TcpConnection& conn, TcpSegment seg, sim::Bytes payload_len);
-  void remove_connection(std::uint64_t id);
 
-  sim::Engine& engine_;
   Nic& nic_;
   TcpParams params_;
   TcpCostModel costs_;
   CpuCharge charge_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<TcpConnection>> connections_;
-  std::unordered_map<std::uint16_t, std::unique_ptr<TcpListener>> listeners_;
-  /// One-entry demux cache (see rx_dispatch); last_conn_ is nulled when the
-  /// cached connection is unregistered.
-  std::uint64_t last_conn_id_ = 0;
-  TcpConnection* last_conn_ = nullptr;
   obs::Counter segments_sent_;
   obs::Counter segments_received_;
   obs::Counter retransmits_;
   obs::Counter rto_fires_;
 };
 
-/// Transport adapter over a host's TcpStack. Pure forwarding — no extra
-/// engine events, mailboxes, or state on any path, so transport=tcp executes
-/// the literally identical event sequence as the pre-abstraction simulator
-/// (the golden-figure fixtures pin this).
-class TcpTransport final : public Transport {
- public:
-  explicit TcpTransport(TcpStack& stack) : stack_(stack) {}
-
-  std::shared_ptr<Endpoint> connect(Address dst, std::uint16_t port,
-                                    Dscp dscp) override {
-    return stack_.connect(dst, port, dscp);
-  }
-  Listener& listen(std::uint16_t port) override { return stack_.listen(port); }
-  [[nodiscard]] sim::Engine& engine() override { return stack_.engine(); }
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kTcp;
-  }
-  /// No-op: the stack's collectors stay bound under node<i>.tcp.* by the
-  /// node itself, exactly as before the abstraction (registry identity).
-  void register_metrics(obs::MetricsRegistry&, const std::string&) override {}
-
- private:
-  TcpStack& stack_;
-};
+inline TcpStack& TcpConnection::stack() const {
+  return static_cast<TcpStack&>(transport());
+}
 
 }  // namespace dclue::net

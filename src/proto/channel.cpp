@@ -1,41 +1,31 @@
 #include "proto/channel.hpp"
 
 #include <cassert>
+#include <mutex>
 
 namespace dclue::proto {
-
-sim::FlatMap<std::uint64_t, void*>& MsgChannel::rendezvous() {
-  return conn_->engine().rendezvous_board();
-}
 
 MsgChannel::MsgChannel(std::shared_ptr<net::Endpoint> conn)
     : conn_(std::move(conn)) {
   // The mailbox needs an engine; every Endpoint exposes its stack's.
   inbox_ = std::make_shared<sim::Mailbox<Message>>(conn_->engine());
   in_flight_ = std::make_shared<sim::SpscQueue<Message>>();
-  auto* shared = conn_->engine().shared_rendezvous();
-  shared_board_ = shared != nullptr;
-  MsgChannel* found = nullptr;
-  if (shared_board_) {
-    // Sharded run: the peer endpoint may live on another shard. Same-key
-    // insert/find pairs are ordered by the connection handshake (the later
-    // endpoint constructs at least one link lookahead after the earlier one
-    // published its horizon); the mutex only guards the map structure
-    // against unrelated connections pairing concurrently.
-    std::lock_guard<std::mutex> lock(shared->mu);
-    auto [it, inserted] = shared->map.try_emplace(conn_->id(), this);
+  // The peer endpoint may live on another shard. Same-key insert/find pairs
+  // are ordered by the connection handshake (the later endpoint constructs
+  // at least one link lookahead after the earlier one published its
+  // horizon); the mutex only guards the map structure against unrelated
+  // connections pairing concurrently.
+  MsgChannel* earlier = nullptr;
+  {
+    auto& board = conn_->engine().rendezvous();
+    std::lock_guard<std::mutex> lock(board.mu);
+    auto [it, inserted] = board.map.try_emplace(conn_->id(), this);
     if (!inserted) {
-      found = static_cast<MsgChannel*>(it->value);
-      shared->map.erase(it);
-    }
-  } else {
-    auto [it, inserted] = rendezvous().try_emplace(conn_->id(), this);
-    if (!inserted) {
-      found = static_cast<MsgChannel*>(it->value);
-      rendezvous().erase(conn_->id());
+      earlier = static_cast<MsgChannel*>(it->value);
+      board.map.erase(it);
     }
   }
-  if (found != nullptr) pair_with(found);
+  if (earlier != nullptr) pair_with(*earlier);
   conn_->set_rx_handler([this](sim::Bytes n) { on_bytes(n); });
   // A reset unblocks any coroutine waiting on the inbox. The weak_ptr keeps
   // a destroyed channel from being touched by a late reset.
@@ -52,50 +42,31 @@ MsgChannel::MsgChannel(std::shared_ptr<net::Endpoint> conn)
   });
 }
 
-void MsgChannel::pair_with(MsgChannel* other) {
-  peer_ = other;
-  other->peer_ = this;
-  peer_in_flight_ = other->in_flight_;
-  other->peer_in_flight_ = in_flight_;
-  // Messages either side framed before pairing become in-flight now (they
-  // may already have arrived as bytes, so reprocess the byte counter). In a
-  // sharded run neither queue can be non-empty here: an endpoint only sends
-  // after its channel exists, and the earlier (accepting) endpoint cannot
-  // have sent before receiving — its first receivable byte leaves the later
-  // endpoint only after this constructor runs.
-  while (!out_pending_.empty()) {
-    peer_in_flight_->push(std::move(out_pending_.front()));
-    out_pending_.pop_front();
-  }
-  while (!other->out_pending_.empty()) {
-    in_flight_->push(std::move(other->out_pending_.front()));
-    other->out_pending_.pop_front();
+void MsgChannel::pair_with(MsgChannel& earlier) {
+  peer_in_flight_ = earlier.in_flight_;
+  earlier.peer_in_flight_ = in_flight_;
+  // Messages the earlier endpoint framed before pairing become in flight
+  // now (they may already have arrived as bytes, so reprocess our byte
+  // counter). This endpoint is still constructing and has framed nothing,
+  // so the earlier one has nothing new to receive, and pairing never runs
+  // its receive path (in a sharded run it lives on another shard, and as
+  // the accepting side it cannot have sent before receiving).
+  while (!earlier.out_pending_.empty()) {
+    in_flight_->push(std::move(earlier.out_pending_.front()));
+    earlier.out_pending_.pop_front();
   }
   on_bytes(0);
-  if (!shared_board_) {
-    other->on_bytes(0);
-  } else {
-    // Cross-shard: running the peer's receive path from this shard would
-    // race; the invariant above means there is nothing to reprocess.
-    assert(other->in_flight_->size() == 0);
-  }
 }
 
 MsgChannel::~MsgChannel() {
-  if (shared_board_) {
-    auto* shared = conn_->engine().shared_rendezvous();
-    std::lock_guard<std::mutex> lock(shared->mu);
-    shared->map.erase(conn_->id());
-    // Do not touch the peer: it may be live on another shard. Sends into our
-    // orphaned reassembly queue are kept alive by the peer's shared_ptr and
-    // simply go unread.
-  } else {
-    rendezvous().erase(conn_->id());
-    if (peer_ != nullptr) {
-      peer_->peer_ = nullptr;
-      peer_->peer_in_flight_.reset();
-    }
+  {
+    auto& board = conn_->engine().rendezvous();
+    std::lock_guard<std::mutex> lock(board.mu);
+    board.map.erase(conn_->id());
   }
+  // Never touch the peer: it may be live on another shard. Its sends into
+  // our orphaned reassembly queue are kept alive by its shared_ptr and
+  // simply go unread.
   conn_->set_rx_handler({});
 }
 

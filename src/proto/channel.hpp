@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "net/transport.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/shard.hpp"
 #include "sim/sync.hpp"
 
@@ -56,31 +55,25 @@ class MsgChannel {
 
  private:
   void on_bytes(sim::Bytes n);
-  void pair_with(MsgChannel* other);
+  /// Pair with the other endpoint of this connection, which constructed
+  /// earlier. Connection ids are unique within a run, so the two endpoints
+  /// meet on the engine's rendezvous board (the run-wide one when sharded).
+  void pair_with(MsgChannel& earlier);
 
   std::shared_ptr<net::Endpoint> conn_;
   std::shared_ptr<sim::Mailbox<Message>> inbox_;
-  MsgChannel* peer_ = nullptr;
   /// Messages the peer has framed to us. A single-producer queue (the peer's
-  /// sends) held by shared_ptr: in a sharded run the peer lives on another
-  /// shard, and the queue must survive whichever endpoint dies first. The
-  /// peer's pushes are ordered against our pops by the conservative window
-  /// protocol (the framed bytes take at least the boundary lookahead to
-  /// arrive, and horizons publish with release/acquire).
+  /// sends) held by shared_ptr: the peer may live on another shard, and the
+  /// queue must survive whichever endpoint dies first. The peer's pushes are
+  /// ordered against our pops by the conservative window protocol (the
+  /// framed bytes take at least the boundary lookahead to arrive, and
+  /// horizons publish with release/acquire).
   std::shared_ptr<sim::SpscQueue<Message>> in_flight_;
   std::shared_ptr<sim::SpscQueue<Message>> peer_in_flight_;  ///< send target
   std::deque<Message> out_pending_;  ///< framed before the peer endpoint existed
   sim::Bytes rx_pending_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
-  bool shared_board_ = false;
-
-  /// Rendezvous: connection ids are unique within one engine (per-domain in
-  /// sharded runs), so endpoints of the same connection pair up at
-  /// construction time on the engine's rendezvous board — or on the run-wide
-  /// shared board when the run is sharded (engine-scoped either way, so
-  /// concurrent sweep points never see each other's channels).
-  sim::FlatMap<std::uint64_t, void*>& rendezvous();
 };
 
 }  // namespace dclue::proto

@@ -12,7 +12,7 @@ FtpServer::FtpServer(sim::Engine& engine, net::TcpStack& stack,
   accept_loop(stack.listen(port));
 }
 
-sim::DetachedTask FtpServer::accept_loop(net::TcpListener& listener) {
+sim::DetachedTask FtpServer::accept_loop(net::Listener& listener) {
   for (;;) {
     auto conn = co_await listener.accept();
     // FTP cross traffic is TCP by construction (it models internet-style
@@ -42,7 +42,7 @@ sim::DetachedTask FtpServer::session(std::shared_ptr<net::TcpConnection> conn) {
     channel->send(std::move(ack));
     co_await conn->wait_all_acked();
   }
-  if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
+  if (!conn->closed()) conn->close();
   ++served_;
 }
 
@@ -87,7 +87,7 @@ sim::DetachedTask FtpClient::transfer() {
   auto conn = stack_.connect(server, params_.server_port, params_.dscp);
   auto channel = std::make_shared<MsgChannel>(conn);
   co_await conn->established().wait();
-  if (conn->state() == net::TcpConnection::State::kClosed) {
+  if (conn->closed()) {
     aborted_.record();
     co_return;
   }

@@ -38,7 +38,7 @@ class FtpServer {
   [[nodiscard]] std::uint64_t transfers_served() const { return served_; }
 
  private:
-  sim::DetachedTask accept_loop(net::TcpListener& listener);
+  sim::DetachedTask accept_loop(net::Listener& listener);
   sim::DetachedTask session(std::shared_ptr<net::TcpConnection> conn);
 
   sim::Engine& engine_;

@@ -187,27 +187,23 @@ class Engine {
   /// time < safe horizon). Advances now() to \p t.
   std::uint64_t run_until_before(Time t);
 
-  /// Per-engine rendezvous board: a generic key → pointer map components use
-  /// to pair endpoints created on opposite sides of a connection (see
-  /// proto::MsgChannel). Engine-scoped (not global) so concurrent sweeps
-  /// cannot observe each other. FlatMap per the hot-map convention: access is
-  /// keyed-only, so rehash-moved slots are invisible to callers.
-  FlatMap<std::uint64_t, void*>& rendezvous_board() { return rendezvous_; }
-
-  /// Sharded runs: endpoints of one connection live on different engines, so
-  /// pairing needs a board shared across the run's shard set. The mutex only
-  /// guards map integrity; same-key operations are already ordered by the
+  /// Rendezvous board: a generic key → pointer map components use to pair
+  /// endpoints created on opposite sides of a connection (see
+  /// proto::MsgChannel). Run-scoped (not global) so concurrent sweeps cannot
+  /// observe each other. FlatMap per the hot-map convention: access is
+  /// keyed-only, so rehash-moved slots are invisible to callers. The mutex
+  /// guards the map against unrelated connections pairing concurrently in a
+  /// sharded run; same-key operations are already ordered by the
   /// conservative window protocol, so pairing outcomes stay deterministic.
-  struct SharedRendezvous {
+  struct Rendezvous {
     std::mutex mu;
     FlatMap<std::uint64_t, void*> map;
   };
-  void set_shared_rendezvous(SharedRendezvous* board) {
-    shared_rendezvous_ = board;
-  }
-  [[nodiscard]] SharedRendezvous* shared_rendezvous() const {
-    return shared_rendezvous_;
-  }
+  /// The board in use: this engine's own, or the run-wide board a sharded
+  /// run's engines share (the endpoints of one connection may live on
+  /// different engines there; Cluster::plan_shards points them at it).
+  [[nodiscard]] Rendezvous& rendezvous() { return *rendezvous_; }
+  void share_rendezvous(Rendezvous& board) { rendezvous_ = &board; }
 
  private:
   friend class EventHandle;
@@ -421,8 +417,8 @@ class Engine {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t num_slots_ = 0;
   std::uint32_t free_head_ = kNoFree;
-  FlatMap<std::uint64_t, void*> rendezvous_;
-  SharedRendezvous* shared_rendezvous_ = nullptr;
+  Rendezvous own_rendezvous_;
+  Rendezvous* rendezvous_ = &own_rendezvous_;
   bool domain_mode_ = false;
   std::uint32_t cur_domain_ = 0;
   int shard_id_ = 0;

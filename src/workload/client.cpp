@@ -57,7 +57,7 @@ sim::DetachedTask YcsbFleet::one_op(PendingOp p) {
       params_.server_addrs[static_cast<std::size_t>(p.server)], kDbPort);
   auto channel = std::make_shared<proto::MsgChannel>(conn);
   co_await conn->established().wait();
-  bool ok = conn->state() != net::TcpConnection::State::kClosed;
+  bool ok = !conn->closed();
   if (ok) {
     proto::Message req;
     req.type = kYcsbRequest;
@@ -70,7 +70,7 @@ sim::DetachedTask YcsbFleet::one_op(PendingOp p) {
     } else {
       ops_completed_.record();
       sojourn_.record(engine_.now() - p.arrived);
-      if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
+      if (!conn->closed()) conn->close();
     }
   }
   if (!ok) ++conn_failures_;
@@ -145,7 +145,7 @@ sim::Task<void> TerminalFleet::business_txn(TpccInputGenerator& gen,
                              kDbPort);
   auto channel = std::make_shared<proto::MsgChannel>(conn);
   co_await conn->established().wait();
-  if (conn->state() == net::TcpConnection::State::kClosed) {
+  if (conn->closed()) {
     ++conn_failures_;
     co_return;
   }
@@ -162,7 +162,7 @@ sim::Task<void> TerminalFleet::business_txn(TpccInputGenerator& gen,
     }
   }
   ++completed_;
-  if (conn->state() != net::TcpConnection::State::kClosed) conn->close();
+  if (!conn->closed()) conn->close();
 }
 
 }  // namespace dclue::workload

@@ -114,7 +114,8 @@ struct TwoHosts {
   std::unique_ptr<net::Topology> topo;
   std::unique_ptr<net::TcpStack> tcp_a, tcp_b;
   std::unique_ptr<net::RdmaStack> rdma_a, rdma_b;
-  std::unique_ptr<net::Transport> a, b;
+  net::Transport* a = nullptr;  ///< the selected stack on each host
+  net::Transport* b = nullptr;
 
   explicit TwoHosts(net::TransportKind kind) {
     net::TopologyParams tp;
@@ -127,15 +128,15 @@ struct TwoHosts {
       tcp_b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                               net::TcpParams{},
                                               net::TcpCostModel{}, free_cpu());
-      a = std::make_unique<net::TcpTransport>(*tcp_a);
-      b = std::make_unique<net::TcpTransport>(*tcp_b);
+      a = tcp_a.get();
+      b = tcp_b.get();
     } else {
       rdma_a = std::make_unique<net::RdmaStack>(engine, topo->server_nic(0),
                                                 net::RdmaParams{});
       rdma_b = std::make_unique<net::RdmaStack>(engine, topo->server_nic(1),
                                                 net::RdmaParams{});
-      a = std::make_unique<net::RdmaTransport>(*rdma_a);
-      b = std::make_unique<net::RdmaTransport>(*rdma_b);
+      a = rdma_a.get();
+      b = rdma_b.get();
     }
   }
 };
@@ -152,7 +153,7 @@ TEST(ZeroAlloc, TcpBulkTransferSteadyState) {
   sim::Bytes received = 0;
   Window win{kTotal / 4, kTotal - kTotal / 20};
   std::uint64_t seg_open = 0, seg_close = 0;
-  sim::spawn([](TwoHosts& h, net::TcpListener& l, sim::Bytes& got, Window& win,
+  sim::spawn([](TwoHosts& h, net::Listener& l, sim::Bytes& got, Window& win,
                 std::uint64_t& seg_open,
                 std::uint64_t& seg_close) -> sim::Task<void> {
     auto conn = co_await l.accept();

@@ -78,7 +78,7 @@ struct Harness {
     }
     // Wire IPC (one duplex channel) and iSCSI (both directions).
     auto& ipc_listener = nodes[1].stack->listen(7000);
-    sim::spawn([](Harness& h, net::TcpListener& l) -> sim::Task<void> {
+    sim::spawn([](Harness& h, net::Listener& l) -> sim::Task<void> {
       auto conn = co_await l.accept();
       h.nodes[1].ipc->attach_peer(0, std::make_shared<proto::MsgChannel>(conn));
     }(*this, ipc_listener));
@@ -88,7 +88,7 @@ struct Harness {
       const int ini = 1 - tgt;
       auto& listener = nodes[static_cast<std::size_t>(tgt)].stack->listen(
           static_cast<std::uint16_t>(9000 + ini));
-      sim::spawn([](Harness& h, net::TcpListener& l, int tgt) -> sim::Task<void> {
+      sim::spawn([](Harness& h, net::Listener& l, int tgt) -> sim::Task<void> {
         auto c = co_await l.accept();
         h.nodes[static_cast<std::size_t>(tgt)].target->serve(
             std::make_shared<proto::MsgChannel>(c));

@@ -38,7 +38,7 @@ struct Harness {
     a = std::make_unique<IpcService>(engine, 0, stats_a, 0.0, free_cpu());
     b = std::make_unique<IpcService>(engine, 1, stats_b, 0.0, free_cpu());
     auto& listener = stack_b->listen(7000);
-    sim::spawn([](Harness& h, net::TcpListener& l) -> sim::Task<void> {
+    sim::spawn([](Harness& h, net::Listener& l) -> sim::Task<void> {
       auto conn = co_await l.accept();
       h.b->attach_peer(0, std::make_shared<proto::MsgChannel>(conn));
     }(*this, listener));

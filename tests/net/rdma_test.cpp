@@ -35,7 +35,7 @@ TEST(Rdma, HandshakeEstablishesBothEnds) {
   }(listener, accepted));
   auto conn = h.a->connect(h.b->address(), 5000);
   bool connected = false;
-  sim::spawn([](std::shared_ptr<RdmaConnection> c, bool& ok) -> sim::Task<void> {
+  sim::spawn([](std::shared_ptr<Endpoint> c, bool& ok) -> sim::Task<void> {
     co_await c->established().wait();
     ok = true;
   }(conn, connected));
@@ -192,7 +192,7 @@ TEST(Rdma, LinkDownResetsEstablishedConnection) {
   auto conn = h.a->connect(h.b->address(), 5000);
   bool reset = false;
   conn->add_reset_handler([&reset] { reset = true; });
-  sim::spawn([](Harness& h, std::shared_ptr<RdmaConnection> c) -> sim::Task<void> {
+  sim::spawn([](Harness& h, std::shared_ptr<Endpoint> c) -> sim::Task<void> {
     co_await c->established().wait();
     h.topo->server_uplink(0).set_link_down(true);
     c->send(1'000'000);  // all frames die on the downed uplink

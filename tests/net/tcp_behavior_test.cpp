@@ -29,9 +29,9 @@ struct Harness {
                                    TcpCostModel{}, free_cpu());
   }
 
-  std::shared_ptr<TcpConnection> transfer(sim::Bytes bytes, sim::Bytes& received) {
+  std::shared_ptr<Endpoint> transfer(sim::Bytes bytes, sim::Bytes& received) {
     auto& listener = b->listen(5000);
-    sim::spawn([](TcpListener& l, sim::Bytes& got) -> sim::Task<void> {
+    sim::spawn([](Listener& l, sim::Bytes& got) -> sim::Task<void> {
       auto conn = co_await l.accept();
       conn->set_rx_handler([&got](sim::Bytes n) { got += n; });
     }(listener, received));
@@ -111,12 +111,12 @@ TEST(TcpBehavior, ManySmallMessagesAreSegmentEfficient) {
   Harness h;
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
-  sim::spawn([](TcpListener& l, sim::Bytes& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, sim::Bytes& got) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&got](sim::Bytes n) { got += n; });
   }(listener, received));
   auto conn = h.a->connect(h.b->address(), 5000);
-  sim::spawn([](sim::Engine& e, std::shared_ptr<TcpConnection> c) -> sim::Task<void> {
+  sim::spawn([](sim::Engine& e, std::shared_ptr<Endpoint> c) -> sim::Task<void> {
     co_await c->established().wait();
     for (int i = 0; i < 100; ++i) {
       c->send(250);  // control-message sized
@@ -133,14 +133,14 @@ TEST(TcpBehavior, ConcurrentConnectionsKeepIndependentStreams) {
   Harness h;
   auto& listener = h.b->listen(5000);
   std::array<sim::Bytes, 4> got{};
-  sim::spawn([](TcpListener& l, std::array<sim::Bytes, 4>& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, std::array<sim::Bytes, 4>& got) -> sim::Task<void> {
     for (int i = 0; i < 4; ++i) {
       auto conn = co_await l.accept();
       auto* slot = &got[static_cast<std::size_t>(i)];
       conn->set_rx_handler([slot](sim::Bytes n) { *slot += n; });
     }
   }(listener, got));
-  std::array<std::shared_ptr<TcpConnection>, 4> conns;
+  std::array<std::shared_ptr<Endpoint>, 4> conns;
   for (int i = 0; i < 4; ++i) {
     conns[static_cast<std::size_t>(i)] = h.a->connect(h.b->address(), 5000);
     conns[static_cast<std::size_t>(i)]->send((i + 1) * 10'000);

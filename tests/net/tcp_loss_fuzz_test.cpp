@@ -102,14 +102,14 @@ FuzzResult run_fuzz(std::uint64_t seed) {
   std::shared_ptr<TcpConnection> server;
   sim::Bytes handler_total = 0;
   auto& listener = b.listen(kPort);
-  sim::spawn([](TcpListener& l, std::shared_ptr<TcpConnection>& out,
+  sim::spawn([](Listener& l, std::shared_ptr<TcpConnection>& out,
                 sim::Bytes& handler_total) -> sim::Task<void> {
     out = std::static_pointer_cast<TcpConnection>(co_await l.accept());
     out->set_rx_handler([&handler_total](sim::Bytes n) { handler_total += n; });
   }(listener, server, handler_total));
 
   auto conn = a.connect(b.address(), kPort);
-  sim::spawn([](sim::Engine& engine, std::shared_ptr<TcpConnection> conn,
+  sim::spawn([](sim::Engine& engine, std::shared_ptr<Endpoint> conn,
                 Mangler& mangler) -> sim::Task<void> {
     co_await conn->established().wait();
     // Mangle only the data phase; the handshake went through clean.

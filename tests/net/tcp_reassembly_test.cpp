@@ -39,7 +39,7 @@ struct Harness {
     b = std::make_unique<TcpStack>(engine, topo->server_nic(1), TcpParams{},
                                    TcpCostModel{}, free_cpu());
     auto& listener = b->listen(kPort);
-    sim::spawn([](TcpListener& l,
+    sim::spawn([](Listener& l,
                   std::shared_ptr<TcpConnection>& out) -> sim::Task<void> {
       out = std::static_pointer_cast<TcpConnection>(co_await l.accept());
     }(listener, server));

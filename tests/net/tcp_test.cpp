@@ -34,13 +34,13 @@ TEST(Tcp, HandshakeEstablishesBothEnds) {
   Harness h;
   auto& listener = h.b->listen(5000);
   bool accepted = false;
-  sim::spawn([](TcpListener& l, bool& ok) -> sim::Task<void> {
+  sim::spawn([](Listener& l, bool& ok) -> sim::Task<void> {
     auto conn = std::static_pointer_cast<TcpConnection>(co_await l.accept());
     ok = conn->state() == TcpConnection::State::kEstablished;
   }(listener, accepted));
   auto conn = h.a->connect(h.b->address(), 5000);
   bool connected = false;
-  sim::spawn([](std::shared_ptr<TcpConnection> c, bool& ok) -> sim::Task<void> {
+  sim::spawn([](std::shared_ptr<Endpoint> c, bool& ok) -> sim::Task<void> {
     co_await c->established().wait();
     ok = true;
   }(conn, connected));
@@ -53,7 +53,7 @@ TEST(Tcp, DeliversExactByteCount) {
   Harness h;
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
-  sim::spawn([](TcpListener& l, sim::Bytes& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, sim::Bytes& got) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&got](sim::Bytes n) { got += n; });
   }(listener, received));
@@ -68,7 +68,7 @@ TEST(Tcp, LargeTransferApproachesLinkRate) {
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
   sim::Time done = 0.0;
-  sim::spawn([](Harness& h, TcpListener& l, sim::Bytes& got,
+  sim::spawn([](Harness& h, Listener& l, sim::Bytes& got,
                 sim::Time& done) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&](sim::Bytes n) {
@@ -93,7 +93,7 @@ TEST(Tcp, ReceiveWindowBoundsThroughputOverLongPath) {
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
   sim::Time done = 0.0;
-  sim::spawn([](Harness& h, TcpListener& l, sim::Bytes& got,
+  sim::spawn([](Harness& h, Listener& l, sim::Bytes& got,
                 sim::Time& done) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&](sim::Bytes n) {
@@ -117,7 +117,7 @@ TEST(Tcp, RecoversFromTailDrops) {
   Harness h(tp);
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
-  sim::spawn([](TcpListener& l, sim::Bytes& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, sim::Bytes& got) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&got](sim::Bytes n) { got += n; });
   }(listener, received));
@@ -136,7 +136,7 @@ TEST(Tcp, EcnAvoidsDropsOnCongestion) {
   Harness h(tp);
   auto& listener = h.b->listen(5000);
   sim::Bytes received = 0;
-  sim::spawn([](TcpListener& l, sim::Bytes& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, sim::Bytes& got) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([&got](sim::Bytes n) { got += n; });
   }(listener, received));
@@ -149,7 +149,7 @@ TEST(Tcp, EcnAvoidsDropsOnCongestion) {
 TEST(Tcp, CloseTearsDownBothStacks) {
   Harness h;
   auto& listener = h.b->listen(5000);
-  sim::spawn([](TcpListener& l) -> sim::Task<void> {
+  sim::spawn([](Listener& l) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([](sim::Bytes) {});
     conn->close();
@@ -159,7 +159,7 @@ TEST(Tcp, CloseTearsDownBothStacks) {
   sim::spawn([](std::shared_ptr<TcpConnection> c) -> sim::Task<void> {
     co_await c->wait_all_acked();
     c->close();
-  }(conn));
+  }(std::static_pointer_cast<TcpConnection>(conn)));
   h.engine.run();
   EXPECT_EQ(conn->state(), TcpConnection::State::kClosed);
   EXPECT_EQ(h.a->open_connections(), 0u);
@@ -170,7 +170,7 @@ TEST(Tcp, SequentialConnectionChurnDoesNotLeak) {
   Harness h;
   auto& listener = h.b->listen(21);
   // Echo-less sink server: accept, read, close on FIN.
-  sim::spawn([](TcpListener& l) -> sim::Task<void> {
+  sim::spawn([](Listener& l) -> sim::Task<void> {
     for (;;) {
       auto conn = co_await l.accept();
       conn->set_rx_handler([](sim::Bytes) {});
@@ -180,7 +180,8 @@ TEST(Tcp, SequentialConnectionChurnDoesNotLeak) {
   int completed = 0;
   sim::spawn([](Harness& h, int& completed) -> sim::Task<void> {
     for (int i = 0; i < 20; ++i) {
-      auto conn = h.a->connect(h.b->address(), 21);
+      auto conn = std::static_pointer_cast<TcpConnection>(
+          h.a->connect(h.b->address(), 21));
       co_await conn->established().wait();
       conn->send(50'000);
       co_await conn->wait_all_acked();
@@ -197,7 +198,7 @@ TEST(Tcp, SequentialConnectionChurnDoesNotLeak) {
 TEST(Tcp, WaitAllAckedReleasesAfterDelivery) {
   Harness h;
   auto& listener = h.b->listen(5000);
-  sim::spawn([](TcpListener& l) -> sim::Task<void> {
+  sim::spawn([](Listener& l) -> sim::Task<void> {
     auto conn = co_await l.accept();
     conn->set_rx_handler([](sim::Bytes) {});
   }(listener));
@@ -207,7 +208,7 @@ TEST(Tcp, WaitAllAckedReleasesAfterDelivery) {
   sim::spawn([](std::shared_ptr<TcpConnection> c, bool& acked) -> sim::Task<void> {
     co_await c->wait_all_acked();
     acked = c->bytes_sent_acked() >= 100'000;
-  }(conn, acked));
+  }(std::static_pointer_cast<TcpConnection>(conn), acked));
   h.engine.run();
   EXPECT_TRUE(acked);
 }
@@ -220,7 +221,7 @@ TEST(Tcp, TwoSimultaneousConnectionsShareFairly) {
                                             TcpParams{}, TcpCostModel{}, free_cpu());
   auto& listener = h.b->listen(5000);
   std::array<sim::Bytes, 2> got{};
-  sim::spawn([](TcpListener& l, std::array<sim::Bytes, 2>& got) -> sim::Task<void> {
+  sim::spawn([](Listener& l, std::array<sim::Bytes, 2>& got) -> sim::Task<void> {
     for (int i = 0; i < 2; ++i) {
       auto conn = co_await l.accept();
       auto* slot = &got[i];

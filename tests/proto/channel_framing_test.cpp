@@ -40,7 +40,7 @@ TEST(ChannelFraming, LargeMessageDeliveredOnlyWhenComplete) {
   Harness h(tp);
   auto& listener = h.b->listen(9100);
   std::shared_ptr<MsgChannel> server;
-  sim::spawn([](net::TcpListener& l, std::shared_ptr<MsgChannel>& out) -> sim::Task<void> {
+  sim::spawn([](net::Listener& l, std::shared_ptr<MsgChannel>& out) -> sim::Task<void> {
     auto conn = co_await l.accept();
     out = std::make_shared<MsgChannel>(conn);
   }(listener, server));
@@ -48,7 +48,7 @@ TEST(ChannelFraming, LargeMessageDeliveredOnlyWhenComplete) {
   auto client = std::make_shared<MsgChannel>(conn);
 
   sim::Time small_at = 0.0, big_at = 0.0;
-  sim::spawn([](Harness& h, std::shared_ptr<net::TcpConnection> conn,
+  sim::spawn([](Harness& h, std::shared_ptr<net::Endpoint> conn,
                 std::shared_ptr<MsgChannel> client) -> sim::Task<void> {
     co_await conn->established().wait();
     client->send(Message{1, 250, nullptr, 0.0});
@@ -75,7 +75,7 @@ TEST(ChannelFraming, InterleavedSizesKeepBoundaries) {
   Harness h;
   auto& listener = h.b->listen(9101);
   std::vector<sim::Bytes> sizes_got;
-  sim::spawn([](net::TcpListener& l, std::vector<sim::Bytes>& out) -> sim::Task<void> {
+  sim::spawn([](net::Listener& l, std::vector<sim::Bytes>& out) -> sim::Task<void> {
     auto conn = co_await l.accept();
     auto ch = std::make_shared<MsgChannel>(conn);
     for (int i = 0; i < 6; ++i) {
@@ -99,7 +99,7 @@ TEST(ChannelFraming, SendBeforeAcceptIsNotLost) {
   Harness h;
   auto& listener = h.b->listen(9102);
   std::uint32_t got = 0;
-  sim::spawn([](sim::Engine& e, net::TcpListener& l, std::uint32_t& out) -> sim::Task<void> {
+  sim::spawn([](sim::Engine& e, net::Listener& l, std::uint32_t& out) -> sim::Task<void> {
     auto conn = co_await l.accept();
     co_await sim::delay_for(e, 0.05);  // construct the channel even later
     auto ch = std::make_shared<MsgChannel>(conn);
@@ -108,7 +108,7 @@ TEST(ChannelFraming, SendBeforeAcceptIsNotLost) {
   }(h.engine, listener, got));
   auto conn = h.a->connect(h.b->address(), 9102);
   auto client = std::make_shared<MsgChannel>(conn);
-  sim::spawn([](std::shared_ptr<net::TcpConnection> conn,
+  sim::spawn([](std::shared_ptr<net::Endpoint> conn,
                 std::shared_ptr<MsgChannel> client) -> sim::Task<void> {
     co_await conn->established().wait();
     client->send(Message{77, 300, nullptr, 0.0});
@@ -121,7 +121,7 @@ TEST(ChannelFraming, MessageCountsTrackSendsAndReceives) {
   Harness h;
   auto& listener = h.b->listen(9103);
   std::shared_ptr<MsgChannel> server;
-  sim::spawn([](net::TcpListener& l, std::shared_ptr<MsgChannel>& out) -> sim::Task<void> {
+  sim::spawn([](net::Listener& l, std::shared_ptr<MsgChannel>& out) -> sim::Task<void> {
     auto conn = co_await l.accept();
     out = std::make_shared<MsgChannel>(conn);
   }(listener, server));

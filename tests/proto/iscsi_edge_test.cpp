@@ -47,7 +47,7 @@ struct Harness {
     target = std::make_unique<IscsiTarget>(engine, disk, charge, costs);
     initiator = std::make_unique<IscsiInitiator>(engine, charge, costs);
     auto& listener = b->listen(3260);
-    sim::spawn([](Harness& h, net::TcpListener& l) -> sim::Task<void> {
+    sim::spawn([](Harness& h, net::Listener& l) -> sim::Task<void> {
       auto conn = co_await l.accept();
       h.target->serve(std::make_shared<MsgChannel>(conn));
     }(*this, listener));

@@ -35,7 +35,7 @@ struct Harness {
   connect_channels(std::uint16_t port) {
     auto& listener = b->listen(port);
     std::shared_ptr<MsgChannel> server_ch;
-    sim::spawn([](net::TcpListener& l,
+    sim::spawn([](net::Listener& l,
                   std::shared_ptr<MsgChannel>& out) -> sim::Task<void> {
       auto conn = co_await l.accept();
       out = std::make_shared<MsgChannel>(conn);

@@ -1,10 +1,14 @@
-/// Channel lifecycle contract, exercised on BOTH transports: the
-/// kChannelClosed / kChannelReset sentinels must reach a blocked inbox
-/// consumer, and an IPC channel reset must fail every in-flight RPC
-/// (IpcService::fail_all_pending), whichever fabric carries the bytes.
-/// This is the API-redesign regression net — a transport that delivers
-/// bytes but botches teardown passes the byte-count tests and still
-/// deadlocks the cluster.
+/// Endpoint and channel lifecycle contract, exercised on BOTH transports.
+/// The endpoint cases pin net::Endpoint's shared machine directly: bytes
+/// buffered before a handler exists replay once, EOF fires once even when
+/// its handler comes late, a reset runs every handler once and leaves the
+/// endpoint closed with established() open, and a clean close empties both
+/// stacks' tables. The channel cases check that the kChannelClosed /
+/// kChannelReset sentinels reach a blocked inbox consumer, and that an IPC
+/// channel reset fails every in-flight RPC (IpcService::fail_all_pending),
+/// whichever fabric carries the bytes. A transport that delivers bytes but
+/// botches teardown passes the byte-count tests and still deadlocks the
+/// cluster.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +34,8 @@ struct Harness {
   std::unique_ptr<net::Topology> topo;
   std::unique_ptr<net::TcpStack> tcp_a, tcp_b;
   std::unique_ptr<net::RdmaStack> rdma_a, rdma_b;
-  std::unique_ptr<net::Transport> a, b;
+  net::Transport* a = nullptr;  ///< the selected stack on each host
+  net::Transport* b = nullptr;
 
   explicit Harness(net::TransportKind kind) {
     tp.servers_per_lata = 2;
@@ -51,17 +56,113 @@ struct Harness {
     rdma_b = std::make_unique<net::RdmaStack>(engine, topo->server_nic(1),
                                               rdma_params);
     if (kind == net::TransportKind::kTcp) {
-      a = std::make_unique<net::TcpTransport>(*tcp_a);
-      b = std::make_unique<net::TcpTransport>(*tcp_b);
+      a = tcp_a.get();
+      b = tcp_b.get();
     } else {
-      a = std::make_unique<net::RdmaTransport>(*rdma_a);
-      b = std::make_unique<net::RdmaTransport>(*rdma_b);
+      a = rdma_a.get();
+      b = rdma_b.get();
     }
   }
 };
 
 class TransportLifecycle
     : public ::testing::TestWithParam<net::TransportKind> {};
+
+/// Accept one connection on \p port of host b into \p out.
+void accept_into(Harness& h, std::uint16_t port,
+                 std::shared_ptr<net::Endpoint>& out) {
+  sim::spawn([](net::Listener& l,
+                std::shared_ptr<net::Endpoint>& out) -> sim::Task<void> {
+    out = co_await l.accept();
+  }(h.b->listen(port), out));
+}
+
+TEST_P(TransportLifecycle, BytesBeforeRxHandlerReplayExactlyOnce) {
+  Harness h(GetParam());
+  std::shared_ptr<net::Endpoint> server;
+  accept_into(h, 9210, server);
+  auto conn = h.a->connect(h.topo->server_nic(1).address(), 9210);
+  conn->send(10'000);
+  h.engine.run();  // delivered and acknowledged, with no handler installed
+  ASSERT_TRUE(server);
+  EXPECT_EQ(server->bytes_received(), 10'000);
+
+  int calls = 0;
+  sim::Bytes replayed = 0;
+  server->set_rx_handler([&](sim::Bytes n) {
+    ++calls;
+    replayed += n;
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(replayed, 10'000);
+
+  // The buffer is spent: a replacement handler sees only new bytes.
+  sim::Bytes later = 0;
+  server->set_rx_handler([&](sim::Bytes n) { later += n; });
+  EXPECT_EQ(later, 0);
+  conn->send(3'000);
+  h.engine.run();
+  EXPECT_EQ(later, 3'000);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(replayed, 10'000);
+}
+
+TEST_P(TransportLifecycle, LateEofHandlerFiresImmediatelyAndOnce) {
+  Harness h(GetParam());
+  std::shared_ptr<net::Endpoint> server;
+  accept_into(h, 9211, server);
+  auto conn = h.a->connect(h.topo->server_nic(1).address(), 9211);
+  conn->send(1'000);
+  conn->close();
+  h.engine.run();  // the close marker arrived before any EOF handler
+  ASSERT_TRUE(server);
+  EXPECT_EQ(server->bytes_received(), 1'000);
+
+  int eofs = 0;
+  server->set_eof_handler([&eofs] { ++eofs; });
+  EXPECT_EQ(eofs, 1);
+  server->close();  // finish the close; the marker must not re-fire EOF
+  h.engine.run();
+  EXPECT_EQ(eofs, 1);
+  EXPECT_TRUE(server->closed());
+  EXPECT_TRUE(conn->closed());
+}
+
+TEST_P(TransportLifecycle, ResetRunsEveryHandlerOnceAndCloses) {
+  Harness h(GetParam());
+  // Nobody listens on the port: the handshake retries until the budget is
+  // spent and the endpoint resets.
+  auto conn = h.a->connect(h.topo->server_nic(1).address(), 9212);
+  int first = 0, second = 0;
+  conn->add_reset_handler([&first] { ++first; });
+  conn->add_reset_handler([&second] { ++second; });
+  h.engine.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_TRUE(conn->established().is_open());
+  EXPECT_TRUE(conn->closed());
+  EXPECT_EQ(h.a->open_connections(), 0u);
+}
+
+TEST_P(TransportLifecycle, CleanCloseEmptiesBothTables) {
+  Harness h(GetParam());
+  std::shared_ptr<net::Endpoint> server;
+  sim::spawn([](net::Listener& l,
+                std::shared_ptr<net::Endpoint>& out) -> sim::Task<void> {
+    out = co_await l.accept();
+    out->set_rx_handler([](sim::Bytes) {});
+    out->set_eof_handler([ep = out.get()] { ep->close(); });
+  }(h.b->listen(9213), server));
+  auto conn = h.a->connect(h.topo->server_nic(1).address(), 9213);
+  conn->send(5'000);
+  conn->close();
+  h.engine.run();
+  ASSERT_TRUE(server);
+  EXPECT_TRUE(server->closed());
+  EXPECT_TRUE(conn->closed());
+  EXPECT_EQ(h.a->open_connections(), 0u);
+  EXPECT_EQ(h.b->open_connections(), 0u);
+}
 
 TEST_P(TransportLifecycle, CleanCloseDeliversClosedSentinel) {
   Harness h(GetParam());
