@@ -133,11 +133,7 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   env.lock_retry_delay = sim::milliseconds(0.3) * cfg.scale;
   env.alive = &alive_;
   env.sharded = cfg.shards > 0;
-  if (workload::is_ycsb(cfg.workload_spec)) {
-    ycsb_executor_ = std::make_unique<workload::YcsbExecutor>(
-        env, workload::make_ycsb_spec(cfg));
-  }
-  executor_ = std::make_unique<workload::TpccExecutor>(std::move(env));
+  executor_ = std::make_unique<workload::TxnExecutor>(std::move(env));
 }
 
 void Node::start_listeners() {
@@ -178,36 +174,30 @@ sim::DetachedTask Node::db_session(std::shared_ptr<net::Endpoint> conn) {
       if (!conn->closed()) conn->close();
       co_return;
     }
-    if (msg.type == workload::kYcsbRequest && ycsb_executor_) {
-      auto body = std::static_pointer_cast<workload::YcsbRequestBody>(msg.payload);
-      const cpu::ThreadId tid = next_thread_++;
-      proc_->thread_activated();
-      co_await proc_->compute(pl.client_request, cpu::JobClass::kApplication,
-                              tid);
-      const int rows = co_await ycsb_executor_->execute(body->op, tid);
-      proto::Message reply;
-      reply.type = workload::kYcsbReply;
-      reply.bytes = workload::kYcsbReplyBaseBytes +
-                    std::max(rows, 0) * db::TpccSpecs::ycsb.row_bytes;
-      reply.payload = std::make_shared<workload::YcsbReplyBody>(
-          workload::YcsbReplyBody{rows >= 0, std::max(rows, 0)});
-      channel->send(std::move(reply));
-      proc_->thread_deactivated();
-      continue;
-    }
-    if (msg.type != workload::kClientRequest) continue;
-    auto body = std::static_pointer_cast<workload::ClientRequestBody>(msg.payload);
+    const bool ycsb = msg.type == workload::kYcsbRequest;
+    if (!ycsb && msg.type != workload::kClientRequest) continue;
     // One logical DBMS thread per in-flight request: this count is what the
     // cache-pressure and context-switch models see.
     const cpu::ThreadId tid = next_thread_++;
     proc_->thread_activated();
     co_await proc_->compute(pl.client_request, cpu::JobClass::kApplication, tid);
-    const bool committed = co_await executor_->execute(body->input, tid);
     proto::Message reply;
-    reply.type = workload::kClientReply;
-    reply.bytes = workload::kReplyBytes;
-    reply.payload =
-        std::make_shared<workload::ClientReplyBody>(workload::ClientReplyBody{committed});
+    if (ycsb) {
+      auto body = std::static_pointer_cast<workload::YcsbRequestBody>(msg.payload);
+      const int rows = co_await executor_->execute(body->op, tid);
+      reply.type = workload::kYcsbReply;
+      reply.bytes = workload::kYcsbReplyBaseBytes +
+                    std::max(rows, 0) * db::TpccSpecs::ycsb.row_bytes;
+      reply.payload = std::make_shared<workload::YcsbReplyBody>(
+          workload::YcsbReplyBody{rows >= 0, std::max(rows, 0)});
+    } else {
+      auto body = std::static_pointer_cast<workload::ClientRequestBody>(msg.payload);
+      const bool committed = co_await executor_->execute(body->input, tid);
+      reply.type = workload::kClientReply;
+      reply.bytes = workload::kReplyBytes;
+      reply.payload = std::make_shared<workload::ClientReplyBody>(
+          workload::ClientReplyBody{committed});
+    }
     channel->send(std::move(reply));
     proc_->thread_deactivated();
   }
@@ -256,10 +246,10 @@ void Node::register_metrics(obs::MetricsRegistry& reg) {
   reg.gauge_fn(p + "mem.blended_mpi", [this] { return mem_->blended_mpi(); });
   // YCSB op counters exist only on ycsb runs, so TPC-C registry snapshots
   // (and the golden fixtures) are byte-identical to the seed.
-  if (ycsb_executor_) {
+  if (workload::is_ycsb(cfg_.workload_spec)) {
     for (int i = 0; i < workload::kNumYcsbOpTypes; ++i) {
       reg.bind(p + "ycsb." + workload::kYcsbOpNames[i],
-               &ycsb_executor_->op_counter(i));
+               &executor_->op_counter(i));
     }
   }
 }

@@ -30,7 +30,6 @@
 #include "storage/disk_array.hpp"
 #include "workload/client.hpp"
 #include "workload/tpcc_txn.hpp"
-#include "workload/ycsb.hpp"
 
 namespace dclue::core {
 
@@ -119,8 +118,7 @@ class Node {
   std::unique_ptr<db::LogManager> log_;
   std::unique_ptr<cluster::IpcService> ipc_;
   std::unique_ptr<cluster::FusionLayer> fusion_;
-  std::unique_ptr<workload::TpccExecutor> executor_;
-  std::unique_ptr<workload::YcsbExecutor> ycsb_executor_;  ///< ycsb runs only
+  std::unique_ptr<workload::TxnExecutor> executor_;
   sim::Rng rng_;
   NodeStats stats_;
   cpu::ThreadId next_thread_ = 1;

@@ -3,6 +3,9 @@
 /// \file node_stats.hpp
 /// Per-node measurement accumulators. All quantities are measured from the
 /// functioning simulation (DCLUE's philosophy) over the post-warmup window.
+/// The transaction counts and the latency breakdown are recorded by the
+/// node's one workload::TxnExecutor, for TPC-C transactions and YCSB keyed
+/// ops alike; the per-type tallies are TPC-C's only.
 ///
 /// NodeStats is a plain default-constructible struct so unit tests can stand
 /// one up without a cluster; inside a Cluster every collector is registered
@@ -20,9 +23,11 @@
 
 namespace dclue::core {
 
-/// Mirrors workload::kNumTxnTypes (core cannot include workload headers);
-/// enum order in workload/tpcc_txn.hpp: new-order, payment, order-status,
-/// delivery, stock-level.
+/// The TPC-C transaction types, in workload::TxnType order. The one list:
+/// workload::kNumTxnTypes is kTxnTypeSlots (core cannot include workload
+/// headers), and the names label both the per-type latency tallies below
+/// and the executor's trace spans (string literals: the tracer stores
+/// pointers, not copies).
 inline constexpr int kTxnTypeSlots = 5;
 inline constexpr const char* kTxnTypeNames[kTxnTypeSlots] = {
     "new_order", "payment", "order_status", "delivery", "stock_level"};

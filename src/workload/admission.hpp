@@ -13,15 +13,14 @@
 /// immediately; on each completion call `release()`, which pops and returns
 /// the next queued item (if any) for the caller to dispatch, keeping the
 /// in-service count at the limit. Optionally bounded (max_queue > 0):
-/// arrivals into a full queue are dropped and counted.
+/// arrivals into a full queue are dropped and counted. An item that needs
+/// its arrival time (for a sojourn) carries it.
 
 #include <cstdint>
 #include <optional>
 #include <utility>
 
-#include "sim/obs/stats.hpp"
 #include "sim/ring.hpp"
-#include "sim/units.hpp"
 
 namespace dclue::workload {
 
@@ -34,65 +33,47 @@ class AdmissionQueue {
   explicit AdmissionQueue(int limit, std::size_t max_queue = 0)
       : limit_(limit), max_queue_(max_queue) {}
 
-  Admit offer(sim::Time now, Item item) {
+  Admit offer(Item item) {
     ++arrivals_;
     if (inflight_ < limit_ && queue_.empty()) {
       ++inflight_;
-      ++admitted_;
       return Admit::kNow;
     }
     if (max_queue_ > 0 && queue_.size() >= max_queue_) {
       ++drops_;
       return Admit::kDropped;
     }
-    queue_.emplace_back(Queued{std::move(item), now});
+    queue_.emplace_back(std::move(item));
     if (queue_.size() > max_depth_) max_depth_ = queue_.size();
-    depth_avg_.record(now, static_cast<double>(queue_.size()));
     return Admit::kQueued;
   }
 
   /// Completion: free the slot; if an item is queued, admit it (keeping the
-  /// slot busy) and return it for dispatch. Its wait is recorded.
-  std::optional<Item> release(sim::Time now) {
+  /// slot busy) and return it for dispatch.
+  std::optional<Item> release() {
     if (queue_.empty()) {
       --inflight_;
       return std::nullopt;
     }
-    Queued next = std::move(queue_.front());
+    Item next = std::move(queue_.front());
     queue_.pop_front();
-    depth_avg_.record(now, static_cast<double>(queue_.size()));
-    queue_wait_.record(now - next.arrived);
-    ++admitted_;
-    return std::move(next.item);
+    return next;
   }
 
   [[nodiscard]] int inflight() const { return inflight_; }
   [[nodiscard]] std::size_t depth() const { return queue_.size(); }
   [[nodiscard]] std::size_t max_depth() const { return max_depth_; }
   [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
-  [[nodiscard]] std::uint64_t admitted() const { return admitted_; }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] const obs::Tally& queue_wait() const { return queue_wait_; }
-  [[nodiscard]] const obs::TimeWeightedAvg& depth_avg() const {
-    return depth_avg_;
-  }
 
  private:
-  struct Queued {
-    Item item;
-    sim::Time arrived;
-  };
-
   int limit_;
   std::size_t max_queue_;
   int inflight_ = 0;
-  sim::Ring<Queued> queue_;
+  sim::Ring<Item> queue_;
   std::size_t max_depth_ = 0;
   std::uint64_t arrivals_ = 0;
-  std::uint64_t admitted_ = 0;
   std::uint64_t drops_ = 0;
-  obs::Tally queue_wait_;
-  obs::TimeWeightedAvg depth_avg_;
 };
 
 }  // namespace dclue::workload

@@ -48,7 +48,7 @@ sim::DetachedTask YcsbFleet::arrival_loop() {
                    ? params_.owner_of_key(p.op.key)
                    : static_cast<int>(rng.uniform_int(0, params_.nodes - 1));
     p.arrived = engine_.now();
-    if (admission_.offer(engine_.now(), p) == Admit::kNow) one_op(p);
+    if (admission_.offer(p) == Admit::kNow) one_op(p);
   }
 }
 
@@ -68,8 +68,11 @@ sim::DetachedTask YcsbFleet::one_op(PendingOp p) {
     if (reply.type >= proto::kChannelClosed) {
       ok = false;
     } else {
-      ops_completed_.record();
-      sojourn_.record(engine_.now() - p.arrived);
+      // An op the server aborted is answered, but it did not complete.
+      if (static_cast<const YcsbReplyBody*>(reply.payload.get())->committed) {
+        ops_completed_.record();
+        sojourn_.record(engine_.now() - p.arrived);
+      }
       if (!conn->closed()) conn->close();
     }
   }
@@ -77,7 +80,7 @@ sim::DetachedTask YcsbFleet::one_op(PendingOp p) {
   // Completion frees the admission slot; a queued arrival (if any) is
   // dispatched immediately with its original arrival time, so its queue
   // wait lands in the sojourn measurement.
-  auto next = admission_.release(engine_.now());
+  auto next = admission_.release();
   if (next) one_op(*next);
 }
 

@@ -8,11 +8,6 @@
 
 namespace dclue::workload {
 
-/// Trace span labels indexed by TxnType (string literals: the tracer stores
-/// pointers, not copies).
-constexpr const char* kTxnTraceNames[kNumTxnTypes] = {
-    "new_order", "payment", "order_status", "delivery", "stock_level"};
-
 using db::key_i;
 using db::key_w;
 using db::key_wd;
@@ -97,8 +92,8 @@ std::vector<TxnInput> TpccInputGenerator::business_transaction(std::int64_t home
 using cluster::page_hash_home;
 
 template <typename Row>
-sim::Task<Row*> TpccExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
-                                       db::Key key, std::int64_t w) {
+sim::Task<Row*> TxnExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
+                                      db::Key key, std::int64_t w) {
   const db::PageId index_page = table.index_page_of(key);
   const int idx_home = w >= 0 ? storage_home(w)
                               : page_hash_home(index_page, env_.num_nodes);
@@ -119,9 +114,9 @@ sim::Task<Row*> TpccExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
 }
 
 template <typename Row>
-sim::Task<void> TpccExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
-                                        db::Key key, std::int64_t w,
-                                        std::function<void(Row&)> apply) {
+sim::Task<void> TxnExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
+                                       db::Key key, std::int64_t w,
+                                       std::function<void(Row&)> apply) {
   const db::PageId index_page = table.index_page_of(key);
   const int home = w >= 0 ? storage_home(w) : page_hash_home(index_page, env_.num_nodes);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
@@ -145,9 +140,9 @@ sim::Task<void> TpccExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
 }
 
 template <typename Row>
-sim::Task<void> TpccExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
-                                         db::Key predicted_key, std::int64_t w,
-                                         std::function<void()> apply) {
+sim::Task<void> TxnExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
+                                        db::Key predicted_key, std::int64_t w,
+                                        std::function<void()> apply) {
   const db::PageId page = table.spec().clustered
                               ? table.data_page_of_key(predicted_key)
                               : table.append_page();
@@ -173,7 +168,7 @@ sim::Task<void> TpccExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
 // Transaction bodies (phase 1)
 // ---------------------------------------------------------------------------
 
-sim::Task<void> TpccExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
+sim::Task<void> TxnExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
   co_await read_row(ctx, db.warehouse, key_w(in.w), in.w);
   co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c), in.w);
@@ -238,7 +233,7 @@ sim::Task<void> TpccExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
   }
 }
 
-sim::Task<void> TpccExecutor::payment(const TxnInput& in, TxnCtx& ctx) {
+sim::Task<void> TxnExecutor::payment(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
   const double amount = in.amount;
   std::function<void(db::WarehouseRow&)> pay_wh =
@@ -283,7 +278,7 @@ sim::Task<void> TpccExecutor::payment(const TxnInput& in, TxnCtx& ctx) {
                                       insert_history);
 }
 
-sim::Task<void> TpccExecutor::order_status(const TxnInput& in, TxnCtx& ctx) {
+sim::Task<void> TxnExecutor::order_status(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
   auto* cust = co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c), in.w);
   if (!cust || cust->last_o_id == 0) co_return;
@@ -295,7 +290,7 @@ sim::Task<void> TpccExecutor::order_status(const TxnInput& in, TxnCtx& ctx) {
   }
 }
 
-sim::Task<void> TpccExecutor::delivery(const TxnInput& in, TxnCtx& ctx) {
+sim::Task<void> TxnExecutor::delivery(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
   for (std::int64_t d = 1; d <= env_.db->scale().districts_per_warehouse; ++d) {
     // Oldest undelivered order in this district (ordered index scan).
@@ -340,7 +335,7 @@ sim::Task<void> TpccExecutor::delivery(const TxnInput& in, TxnCtx& ctx) {
   }
 }
 
-sim::Task<void> TpccExecutor::stock_level(const TxnInput& in, TxnCtx& ctx) {
+sim::Task<void> TxnExecutor::stock_level(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
   auto* dist = co_await read_row(ctx, db.district, key_wd(in.w, in.d), in.w);
   if (!dist) co_return;
@@ -371,27 +366,53 @@ sim::Task<void> TpccExecutor::stock_level(const TxnInput& in, TxnCtx& ctx) {
 // Execution driver: phase 1 -> phase 2 (ordered lock conversion) -> apply
 // ---------------------------------------------------------------------------
 
-sim::Task<bool> TpccExecutor::execute(const TxnInput& input, cpu::ThreadId tid) {
+sim::Task<bool> TxnExecutor::begin(TxnCtx& ctx, cpu::ThreadId tid) {
   if (env_.alive && !*env_.alive) {
     // Crash-stop: a dead node's server loop may still see queued requests;
     // they abort immediately without touching any shared state.
     env_.stats->txns_aborted.record();
     co_return false;
   }
-  TxnCtx ctx;
   ctx.token = next_token_ * static_cast<std::uint64_t>(env_.num_nodes) +
               static_cast<std::uint64_t>(env_.node_id);
   ++next_token_;
   ctx.snapshot = *env_.global_clock;
   ctx.tid = tid;
-
-  const sim::Time t_begin = env_.engine->now();
+  ctx.started = env_.engine->now();
   co_await env_.proc->compute(env_.pl.txn_begin, cpu::JobClass::kApplication, tid);
   env_.stats->in_phase1.record_delta(1.0);
-  co_await run_txn(input, ctx);
+  co_return true;
+}
+
+void TxnExecutor::end_phase1(TxnCtx& ctx) {
   env_.stats->in_phase1.record_delta(-1.0);
   ctx.phase1_done = env_.engine->now();
-  ctx.started = t_begin;
+}
+
+void TxnExecutor::finish(const TxnCtx& ctx, bool committed, const char* name) {
+  if (!committed) {
+    env_.stats->txns_aborted.record();
+    DCLUE_TRACE_INSTANT("txn", "abort", env_.engine->now(),
+                        static_cast<std::uint32_t>(env_.node_id));
+    return;
+  }
+  env_.stats->txns_committed.record();
+  // Latency budget of this transaction, by phase.
+  env_.stats->t_total.record(env_.engine->now() - ctx.started);
+  env_.stats->t_phase1.record(ctx.phase1_done - ctx.started);
+  env_.stats->t_locks.record(ctx.lock_time);
+  env_.stats->t_log.record(ctx.log_time);
+  env_.stats->t_apply.record(ctx.apply_time);
+  DCLUE_TRACE_SPAN("txn", name, ctx.started, env_.engine->now(),
+                   static_cast<std::uint32_t>(env_.node_id));
+}
+
+sim::Task<bool> TxnExecutor::execute(const TxnInput& input, cpu::ThreadId tid) {
+  TxnCtx ctx;
+  const bool live = co_await begin(ctx, tid);
+  if (!live) co_return false;
+  co_await run_txn(input, ctx);
+  end_phase1(ctx);
 
   if (input.rollback) {
     // Spec-mandated new-order rollback: nothing applied, latches dropped.
@@ -400,29 +421,16 @@ sim::Task<bool> TpccExecutor::execute(const TxnInput& input, cpu::ThreadId tid) 
     co_return false;
   }
   const bool committed = co_await commit(ctx);
+  const auto type = static_cast<std::size_t>(input.type);
+  finish(ctx, committed, core::kTxnTypeNames[type]);
   if (committed) {
-    env_.stats->txns_committed.record();
     if (input.type == TxnType::kNewOrder) env_.stats->new_orders_committed.record();
-    // Latency budget of this transaction, by phase and by type.
-    const sim::Duration total = env_.engine->now() - ctx.started;
-    env_.stats->t_total.record(total);
-    env_.stats->t_by_type[static_cast<std::size_t>(input.type)].record(total);
-    env_.stats->t_phase1.record(ctx.phase1_done - ctx.started);
-    env_.stats->t_locks.record(ctx.lock_time);
-    env_.stats->t_log.record(ctx.log_time);
-    env_.stats->t_apply.record(ctx.apply_time);
-    DCLUE_TRACE_SPAN("txn", kTxnTraceNames[static_cast<std::size_t>(input.type)],
-                     ctx.started, env_.engine->now(),
-                     static_cast<std::uint32_t>(env_.node_id));
-  } else {
-    env_.stats->txns_aborted.record();
-    DCLUE_TRACE_INSTANT("txn", "abort", env_.engine->now(),
-                        static_cast<std::uint32_t>(env_.node_id));
+    env_.stats->t_by_type[type].record(env_.engine->now() - ctx.started);
   }
   co_return committed;
 }
 
-sim::Task<bool> TpccExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {
+sim::Task<bool> TxnExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {
   switch (input.type) {
     case TxnType::kNewOrder:
       co_await new_order(input, ctx);
@@ -443,14 +451,14 @@ sim::Task<bool> TpccExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {
   co_return true;
 }
 
-sim::Task<void> TpccExecutor::release_all(TxnCtx& ctx, std::size_t count) {
+sim::Task<void> TxnExecutor::release_all(TxnCtx& ctx, std::size_t count) {
   for (std::size_t i = 0; i < count && i < ctx.locks.size(); ++i) {
     co_await env_.fusion->lock_release(ctx.locks[i].name, ctx.locks[i].home,
                                        ctx.token);
   }
 }
 
-sim::Task<bool> TpccExecutor::commit(TxnCtx& ctx) {
+sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
   // Convert latches to locks in sequence order, deduplicated (several row
   // ops in one sub-page need one lock).
   std::vector<LockRef> ordered;

@@ -1,13 +1,17 @@
 #pragma once
 
 /// \file tpcc_txn.hpp
-/// The five TPC-C transactions executed against the clustered database:
-/// real B+-tree lookups and row mutations, with buffer-cache/cache-fusion
-/// page accesses, the paper's two-phase locking (phase 1 latches while data
-/// is brought in; phase 2 converts latches to global locks in order, waiting
-/// only on the first and release-retrying on later conflicts), MVCC version
-/// creation, and WAL commit.
+/// The node's transaction executor, and the TPC-C inputs it runs. Both
+/// workload families go through one executor: the five TPC-C transactions
+/// and the YCSB keyed ops (workload/ycsb.hpp) differ only in their phase-1
+/// bodies — real B+-tree lookups and row accesses with buffer-cache /
+/// cache-fusion page accesses, latching the rows they will write. They share
+/// the begin, the outcome record and the commit: the paper's two-phase
+/// locking (phase 2 converts latches to global locks in order, waiting only
+/// on the first and release-retrying on later conflicts), MVCC version
+/// creation, row mutation and WAL flush.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -18,10 +22,13 @@
 #include "cpu/processor.hpp"
 #include "db/log_manager.hpp"
 #include "db/tpcc_schema.hpp"
+#include "sim/obs/stats.hpp"
 #include "sim/rng.hpp"
+#include "workload/ycsb.hpp"
 
 namespace dclue::workload {
 
+/// In core::kTxnTypeNames order.
 enum class TxnType : std::uint8_t {
   kNewOrder = 0,
   kPayment,
@@ -29,7 +36,7 @@ enum class TxnType : std::uint8_t {
   kDelivery,
   kStockLevel,
 };
-inline constexpr int kNumTxnTypes = 5;
+inline constexpr int kNumTxnTypes = core::kTxnTypeSlots;
 /// Nominal mix: 43/43/5/5/4 (§2.2).
 inline constexpr double kTxnMix[kNumTxnTypes] = {0.43, 0.43, 0.05, 0.05, 0.04};
 
@@ -97,14 +104,26 @@ struct NodeEnv {
   bool sharded = false;
 };
 
-/// Executes transactions on one node. One instance per node; invoked by the
+/// Executes both workload families on one node: TPC-C transactions and
+/// YCSB keyed ops share one begin, one commit and one outcome record; only
+/// the phase-1 bodies differ. One instance per node; invoked by the
 /// request-handling threads.
-class TpccExecutor {
+class TxnExecutor {
  public:
-  explicit TpccExecutor(NodeEnv env) : env_(std::move(env)) {}
+  explicit TxnExecutor(NodeEnv env) : env_(std::move(env)) {}
 
   /// Run one transaction to commit or abort; returns true on commit.
   sim::Task<bool> execute(const TxnInput& input, cpu::ThreadId tid);
+  /// Run one keyed op to commit or abort. Returns the number of rows
+  /// touched, or -1 on abort (reply sizing needs the row count; a member
+  /// would race across the node's interleaved server threads).
+  sim::Task<int> execute(const YcsbOp& op, cpu::ThreadId tid);
+
+  /// Committed keyed ops by type, for per-node registry binding (ycsb runs
+  /// only).
+  [[nodiscard]] obs::Counter& op_counter(int type) {
+    return ops_by_type_[static_cast<std::size_t>(type)];
+  }
 
  private:
   struct PendingWrite {
@@ -125,6 +144,7 @@ class TpccExecutor {
     std::vector<PendingWrite> writes;
     std::vector<std::function<void()>> applies;  ///< run after locks granted
     sim::Bytes log_bytes = 0;
+    int rows = 0;  ///< rows a keyed op touched (its reply size)
     // Latency breakdown bookkeeping.
     sim::Time started = 0.0;
     sim::Time phase1_done = 0.0;
@@ -133,6 +153,15 @@ class TpccExecutor {
     sim::Duration apply_time = 0.0;
   };
 
+  /// Start a transaction: false (and one abort counted) if the node is
+  /// dead; otherwise mint its token and snapshot, charge txn_begin and
+  /// enter phase 1.
+  sim::Task<bool> begin(TxnCtx& ctx, cpu::ThreadId tid);
+  void end_phase1(TxnCtx& ctx);
+  /// Record the outcome: the commit or abort count, the latency breakdown
+  /// of a commit, and its trace span (\p name) or abort instant.
+  void finish(const TxnCtx& ctx, bool committed, const char* name);
+
   sim::Task<bool> run_txn(const TxnInput& input, TxnCtx& ctx);
   sim::Task<void> new_order(const TxnInput& in, TxnCtx& ctx);
   sim::Task<void> payment(const TxnInput& in, TxnCtx& ctx);
@@ -140,8 +169,16 @@ class TpccExecutor {
   sim::Task<void> delivery(const TxnInput& in, TxnCtx& ctx);
   sim::Task<void> stock_level(const TxnInput& in, TxnCtx& ctx);
 
+  // --- keyed-op bodies (phase 1, ycsb.cpp) ---------------------------------
+  sim::Task<void> read_key(TxnCtx& ctx, std::int64_t key);
+  sim::Task<void> write_key(TxnCtx& ctx, std::int64_t key);
+  sim::Task<void> insert_key(TxnCtx& ctx);
+  sim::Task<void> scan_keys(TxnCtx& ctx, std::int64_t lo, int len);
+  /// Contiguous-range owner of a key (insert-region keys carry their node).
+  [[nodiscard]] int key_home(std::int64_t key) const;
+
   /// Phase 2 + apply + log + release. Returns false if the transaction had
-  /// to abort (lock retry budget exhausted or spec rollback).
+  /// to abort (node dead or lock retry budget exhausted).
   sim::Task<bool> commit(TxnCtx& ctx);
   sim::Task<void> release_all(TxnCtx& ctx, std::size_t count);
 
@@ -163,6 +200,10 @@ class TpccExecutor {
 
   NodeEnv env_;
   std::uint64_t next_token_ = 1;
+  /// Node-local insert sequence: minted server-side so the key stream is a
+  /// pure function of this node's request order (race-free under sharding).
+  std::uint64_t insert_seq_ = 0;
+  std::array<obs::Counter, kNumYcsbOpTypes> ops_by_type_;
 };
 
 }  // namespace dclue::workload

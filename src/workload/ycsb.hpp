@@ -3,8 +3,11 @@
 /// \file ycsb.hpp
 /// YCSB-style keyed workload family beside TPC-C: the A-F operation mixes
 /// (read / update / insert / read-modify-write / scan) over the dense
-/// db::TpccDatabase::ycsb table, executed through the same buffer-cache /
-/// cache-fusion / MVCC / WAL stack as the TPC-C transactions.
+/// db::TpccDatabase::ycsb table. This header holds the spec, the ops and
+/// their generator; the node's workload::TxnExecutor (tpcc_txn.hpp) runs
+/// each op as a transaction, through the same begin, commit and
+/// buffer-cache / cache-fusion / MVCC / WAL stack as TPC-C. Its keyed-op
+/// bodies live in ycsb.cpp.
 ///
 /// Spec-string grammar (ClusterConfig):
 ///   workload_spec = "tpcc" | "ycsb-a" .. "ycsb-f"
@@ -27,9 +30,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "core/config.hpp"
 #include "sim/key_chooser.hpp"
-#include "sim/obs/stats.hpp"
-#include "workload/tpcc_txn.hpp"
 
 namespace dclue::workload {
 
@@ -99,65 +101,6 @@ class YcsbOpGenerator {
   YcsbSpec spec_;
   sim::KeyChooser chooser_;
   sim::Rng rng_;
-};
-
-/// Executes keyed ops on one node through the same two-phase discipline as
-/// TpccExecutor: phase-1 latched page accesses while data is brought in,
-/// global lock conversion at commit, MVCC version creation, WAL flush. One
-/// instance per node; invoked by the request-handling threads. The per-op
-/// state is fixed-size (single lock, single write) so the keyed hot path
-/// allocates nothing.
-class YcsbExecutor {
- public:
-  YcsbExecutor(NodeEnv env, YcsbSpec spec);
-
-  /// Run one op to commit or abort. Returns the number of rows touched,
-  /// or -1 on abort (reply sizing needs the row count; a member would race
-  /// across the node's interleaved server threads).
-  sim::Task<int> execute(const YcsbOp& op, cpu::ThreadId tid);
-
-  /// Committed ops by type, for per-node registry binding (ycsb runs only).
-  [[nodiscard]] obs::Counter& op_counter(int type) { return ops_by_type_[static_cast<std::size_t>(type)]; }
-
-  /// Contiguous-range owner of a key (insert-region keys carry their node).
-  [[nodiscard]] int key_home(std::int64_t key) const;
-
- private:
-  struct OpCtx {
-    std::uint64_t token = 0;
-    db::Timestamp snapshot = 0;
-    cpu::ThreadId tid = 0;
-    bool has_write = false;    ///< update path: one lock + one version
-    db::LockName lock_name = 0;
-    int lock_home = 0;
-    db::PageId write_page = 0;
-    int write_subpage = 0;
-    db::Key write_key = 0;
-    bool is_insert = false;
-    db::Key insert_key = 0;
-    sim::Bytes log_bytes = 0;
-    int rows = 0;
-    sim::Time started = 0.0;
-    sim::Time phase1_done = 0.0;
-    sim::Duration lock_time = 0.0;
-    sim::Duration log_time = 0.0;
-    sim::Duration apply_time = 0.0;
-  };
-
-  sim::Task<void> read_key(OpCtx& ctx, std::int64_t key);
-  sim::Task<void> write_key(OpCtx& ctx, std::int64_t key);
-  sim::Task<void> insert_op(OpCtx& ctx);
-  sim::Task<void> scan_keys(OpCtx& ctx, std::int64_t lo, int len);
-  sim::Task<bool> commit(OpCtx& ctx);
-
-  NodeEnv env_;
-  YcsbSpec spec_;
-  db::Table<db::YcsbRow>* table_;
-  std::uint64_t next_token_ = 1;
-  /// Node-local insert sequence: minted server-side so the key stream is a
-  /// pure function of this node's request order (race-free under sharding).
-  std::uint64_t insert_seq_ = 0;
-  std::array<obs::Counter, kNumYcsbOpTypes> ops_by_type_;
 };
 
 }  // namespace dclue::workload

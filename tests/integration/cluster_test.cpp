@@ -210,6 +210,27 @@ TEST(ClusterIntegration, ExtraLatencyRaisesControlDelay) {
   EXPECT_GT(r2.tpmc, 0.0);
 }
 
+TEST(ClusterIntegration, YcsbClientsCountOnlyCommittedOps) {
+  // Every node is dead from the start, so every op aborts at the server.
+  // An aborted reply is neither a completed op nor a sojourn sample.
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.workload_spec = "ycsb-a";
+  cfg.ycsb_records = 10'000;
+  cfg.ycsb_arrival = "poisson:10";
+  cfg.warmup = 1.0;
+  cfg.measure = 2.0;
+  cfg.seed = 5;
+  Cluster cluster(cfg);
+  for (int i = 0; i < cfg.nodes; ++i) cluster.node(i).set_alive(false);
+  RunReport r = cluster.run();
+  EXPECT_EQ(r.txns, 0.0);
+  EXPECT_EQ(r.abort_rate, 1.0);
+  EXPECT_EQ(r.ycsb_ops, 0.0);
+  EXPECT_EQ(r.sojourn_p50_ms, 0.0);
+  EXPECT_EQ(r.sojourn_p99_ms, 0.0);
+}
+
 TEST(ClusterIntegration, LockActivityObservedUnderContention) {
   // Few warehouses + low affinity = district hotspot contention.
   ClusterConfig cfg = tiny(2, 0.0);

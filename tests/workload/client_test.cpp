@@ -1,8 +1,8 @@
 /// Open-loop client model unit battery: arrival-spec parsing, the golden
 /// Poisson inter-arrival sequence the YcsbFleet draws (pins the stream
 /// name/index contract), and hand-computed admission-queue cases — a D/D/1
-/// ramp whose queue waits and depths are checked exactly, plus bounded-queue
-/// drop accounting.
+/// ramp whose admission order and depths are checked exactly, plus
+/// bounded-queue drop accounting.
 
 #include "workload/client.hpp"
 
@@ -57,99 +57,78 @@ TEST(OpenLoopClient, GoldenPoissonInterArrivals) {
 
 TEST(AdmissionQueue, DeterministicDD1RampMatchesHandComputation) {
   // One server slot (limit 1), arrivals every 1.0 s, service 1.5 s: the
-  // classic D/D/1 overload ramp. Every depth, wait, and counter below is
+  // classic D/D/1 overload ramp. Every depth and counter below is
   // hand-computed; the queue must reproduce them exactly.
   AdmissionQueue<int> q(/*limit=*/1);
 
-  EXPECT_EQ(q.offer(0.0, 1), Admit::kNow);  // op 1 enters service at 0.0
+  EXPECT_EQ(q.offer(1), Admit::kNow);  // op 1 enters service at 0.0
   EXPECT_EQ(q.inflight(), 1);
-  EXPECT_EQ(q.offer(1.0, 2), Admit::kQueued);
+  EXPECT_EQ(q.offer(2), Admit::kQueued);  // at 1.0
   EXPECT_EQ(q.depth(), 1u);
-  EXPECT_EQ(q.offer(2.0, 3), Admit::kQueued);
+  EXPECT_EQ(q.offer(3), Admit::kQueued);  // at 2.0
   EXPECT_EQ(q.depth(), 2u);
   EXPECT_EQ(q.max_depth(), 2u);
 
-  // Op 1 completes at 1.5 (0.0 + 1.5 service): op 2 admitted, waited 0.5.
-  auto next = q.release(1.5);
+  // Op 1 completes at 1.5 (0.0 + 1.5 service): op 2 admitted.
+  auto next = q.release();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(*next, 2);
   EXPECT_EQ(q.depth(), 1u);
   EXPECT_EQ(q.inflight(), 1);  // the freed slot is immediately re-occupied
 
-  EXPECT_EQ(q.offer(3.0, 4), Admit::kQueued);
+  EXPECT_EQ(q.offer(4), Admit::kQueued);  // at 3.0, just before op 2 ends
   EXPECT_EQ(q.depth(), 2u);
 
-  // Op 2 completes at 3.0 (1.5 + 1.5): op 3 admitted, waited 3.0 - 2.0.
-  next = q.release(3.0);
+  // Op 2 completes at 3.0 (1.5 + 1.5): op 3 admitted.
+  next = q.release();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(*next, 3);
 
-  // Op 3 completes at 4.5: op 4 admitted, waited 4.5 - 3.0.
-  next = q.release(4.5);
+  // Op 3 completes at 4.5: op 4 admitted.
+  next = q.release();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(*next, 4);
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_EQ(q.inflight(), 1);
 
   // Op 4 completes at 6.0: nothing queued, the slot frees.
-  next = q.release(6.0);
+  next = q.release();
   EXPECT_FALSE(next.has_value());
   EXPECT_EQ(q.inflight(), 0);
 
   EXPECT_EQ(q.arrivals(), 4u);
-  EXPECT_EQ(q.admitted(), 4u);
   EXPECT_EQ(q.drops(), 0u);
   EXPECT_EQ(q.max_depth(), 2u);
-  // Queue waits 0.5, 1.0, 1.5: the deterministic ramp of a rho=1.5 D/D/1.
-  EXPECT_EQ(q.queue_wait().count(), 3u);
-  EXPECT_DOUBLE_EQ(q.queue_wait().sum(), 3.0);
-  EXPECT_DOUBLE_EQ(q.queue_wait().mean(), 1.0);
-  EXPECT_DOUBLE_EQ(q.queue_wait().min(), 0.5);
-  EXPECT_DOUBLE_EQ(q.queue_wait().max(), 1.5);
-  // Sojourn identity: with service S = 1.5, op k's sojourn is wait + S, so
-  // the worst end-to-end time in the ramp is 1.5 + 1.5 = 3.0 s.
-  EXPECT_DOUBLE_EQ(q.queue_wait().max() + 1.5, 3.0);
 }
 
 TEST(AdmissionQueue, FifoOrderAcrossSlots) {
   // Two service slots: queued items must come back in arrival order.
   AdmissionQueue<int> q(/*limit=*/2);
-  EXPECT_EQ(q.offer(0.0, 10), Admit::kNow);
-  EXPECT_EQ(q.offer(0.1, 11), Admit::kNow);
-  EXPECT_EQ(q.offer(0.2, 12), Admit::kQueued);
-  EXPECT_EQ(q.offer(0.3, 13), Admit::kQueued);
-  EXPECT_EQ(*q.release(1.0), 12);
-  EXPECT_EQ(*q.release(1.1), 13);
-  EXPECT_FALSE(q.release(1.2).has_value());
-  EXPECT_FALSE(q.release(1.3).has_value());
+  EXPECT_EQ(q.offer(10), Admit::kNow);
+  EXPECT_EQ(q.offer(11), Admit::kNow);
+  EXPECT_EQ(q.offer(12), Admit::kQueued);
+  EXPECT_EQ(q.offer(13), Admit::kQueued);
+  EXPECT_EQ(*q.release(), 12);
+  EXPECT_EQ(*q.release(), 13);
+  EXPECT_FALSE(q.release().has_value());
+  EXPECT_FALSE(q.release().has_value());
   EXPECT_EQ(q.inflight(), 0);
 }
 
 TEST(AdmissionQueue, BoundedQueueDropsAndCounts) {
   AdmissionQueue<int> q(/*limit=*/1, /*max_queue=*/2);
-  EXPECT_EQ(q.offer(0.0, 1), Admit::kNow);
-  EXPECT_EQ(q.offer(0.0, 2), Admit::kQueued);
-  EXPECT_EQ(q.offer(0.0, 3), Admit::kQueued);
-  EXPECT_EQ(q.offer(0.0, 4), Admit::kDropped);
-  EXPECT_EQ(q.offer(0.0, 5), Admit::kDropped);
+  EXPECT_EQ(q.offer(1), Admit::kNow);
+  EXPECT_EQ(q.offer(2), Admit::kQueued);
+  EXPECT_EQ(q.offer(3), Admit::kQueued);
+  EXPECT_EQ(q.offer(4), Admit::kDropped);
+  EXPECT_EQ(q.offer(5), Admit::kDropped);
   EXPECT_EQ(q.arrivals(), 5u);
-  EXPECT_EQ(q.admitted(), 1u);
   EXPECT_EQ(q.drops(), 2u);
   EXPECT_EQ(q.depth(), 2u);
   // A release drains the queue head, opening one slot for the next offer.
-  EXPECT_EQ(*q.release(1.0), 2);
-  EXPECT_EQ(q.offer(1.0, 6), Admit::kQueued);
+  EXPECT_EQ(*q.release(), 2);
+  EXPECT_EQ(q.offer(6), Admit::kQueued);
   EXPECT_EQ(q.drops(), 2u);
-}
-
-TEST(AdmissionQueue, TimeWeightedDepthAverage) {
-  // Depth is 0 on [0,1), 1 on [1,2), 2 on [2,4): average over [0,4] is
-  // (0*1 + 1*1 + 2*2) / 4 = 1.25.
-  AdmissionQueue<int> q(/*limit=*/1);
-  EXPECT_EQ(q.offer(0.0, 1), Admit::kNow);
-  EXPECT_EQ(q.offer(1.0, 2), Admit::kQueued);
-  EXPECT_EQ(q.offer(2.0, 3), Admit::kQueued);
-  EXPECT_DOUBLE_EQ(q.depth_avg().average(4.0), 1.25);
 }
 
 }  // namespace
