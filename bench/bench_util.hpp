@@ -7,7 +7,9 @@
 /// per-point tracer when --trace is given), and the RunReport JSON emission
 /// that scripts/check_report.py and scripts/bench_compare.py consume.
 ///
-/// Command line (every fig/ablation/ext bench):
+/// Command line (every fig/ablation/ext bench). The overrides below apply
+/// to every queued point and to the open-loop benches' capacity probes
+/// (Scenario::open_loop_rates) alike:
 ///   --report[=PATH]   RunReport JSON path (default REPORT_<id>.json)
 ///   --no-report       skip the RunReport file
 ///   --trace[=PATH]    enable event tracing; Chrome trace JSON to PATH
@@ -47,6 +49,7 @@
 #include "net/transport.hpp"
 #include "sim/obs/trace.hpp"
 #include "sim/sweep.hpp"
+#include "workload/tpcc_txn.hpp"
 #include "workload/ycsb.hpp"
 
 namespace dclue::bench {
@@ -76,27 +79,6 @@ inline void banner(const char* fig, const char* what) {
   std::printf("=====================================================\n");
   std::fflush(stdout);
 }
-
-/// Internal deferred sweep for capacity-probe pre-passes (the open-loop
-/// benches measure closed-loop capacity first, then sweep at a fraction of
-/// it). Probe points do not belong in the figure's RunReport and are never
-/// traced — use Scenario for the reported sweep.
-class Sweep {
- public:
-  std::size_t add(const core::ClusterConfig& cfg) {
-    cfgs_.push_back(cfg);
-    return cfgs_.size() - 1;
-  }
-  void run() { reports_ = core::run_experiments(cfgs_); }
-  const core::RunReport& operator[](std::size_t i) const {
-    return reports_.at(i);
-  }
-  [[nodiscard]] std::size_t size() const { return cfgs_.size(); }
-
- private:
-  std::vector<core::ClusterConfig> cfgs_;
-  std::vector<core::RunReport> reports_;
-};
 
 /// One figure bench: banner + deferred sweep + observability wiring.
 ///
@@ -145,6 +127,29 @@ class Scenario {
     });
   }
 
+  /// Capacity probes for the open-loop benches, which measure closed-loop
+  /// capacity first and then sweep at a fraction of it: run each of \p cfgs
+  /// with this bench's overrides (untraced, and outside the RunReport) and
+  /// return, per config, the open-loop business-transaction rate per node
+  /// that offers 92 % of the measured capacity.
+  [[nodiscard]] std::vector<double> open_loop_rates(
+      std::vector<core::ClusterConfig> cfgs) const {
+    // Mean TPC-C transactions per business transaction: a new-order, a
+    // payment, and each minor type in proportion to the new-order share
+    // (workload::TpccInputGenerator::business_transaction).
+    constexpr double kTxnsPerBt =
+        2.0 + (workload::kTxnMix[2] + workload::kTxnMix[3] + workload::kTxnMix[4]) /
+                  workload::kTxnMix[0];
+    for (core::ClusterConfig& cfg : cfgs) apply_overrides(cfg);
+    const std::vector<core::RunReport> caps = core::run_experiments(cfgs);
+    std::vector<double> rates;
+    rates.reserve(caps.size());
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      rates.push_back(0.92 * (caps[i].txn_rate / cfgs[i].nodes) / kTxnsPerBt);
+    }
+    return rates;
+  }
+
   /// Run every queued point through a custom runner — for benches that drive
   /// a Cluster by hand (e.g. crash/recovery). \p run_one takes
   /// (const core::ClusterConfig&, std::size_t point_index) and returns the
@@ -153,22 +158,7 @@ class Scenario {
   /// installed) under --trace.
   template <typename RunFn>
   void run_with(RunFn&& run_one) {
-    if (shards_override_ >= 0) {
-      for (core::ClusterConfig& cfg : cfgs_) cfg.shards = shards_override_;
-    }
-    if (!transport_override_.empty()) {
-      for (core::ClusterConfig& cfg : cfgs_) {
-        cfg.transport_spec = transport_override_;
-      }
-    }
-    for (core::ClusterConfig& cfg : cfgs_) {
-      if (!workload_override_.empty()) cfg.workload_spec = workload_override_;
-      if (theta_override_ >= 0.0) cfg.ycsb_theta = theta_override_;
-      if (!dist_override_.empty()) cfg.ycsb_dist = dist_override_;
-      if (records_override_ > 0) cfg.ycsb_records = records_override_;
-      if (!arrival_override_.empty()) cfg.ycsb_arrival = arrival_override_;
-      if (shift_override_ >= 0) cfg.ycsb_shift = shift_override_;
-    }
+    for (core::ClusterConfig& cfg : cfgs_) apply_overrides(cfg);
     if (tracing()) {
       obs::Tracer merged;
       std::size_t total_events = 0;
@@ -201,6 +191,18 @@ class Scenario {
   [[nodiscard]] std::size_t size() const { return cfgs_.size(); }
 
  private:
+  /// The command line's overrides, applied to one point.
+  void apply_overrides(core::ClusterConfig& cfg) const {
+    if (shards_override_ >= 0) cfg.shards = shards_override_;
+    if (!transport_override_.empty()) cfg.transport_spec = transport_override_;
+    if (!workload_override_.empty()) cfg.workload_spec = workload_override_;
+    if (theta_override_ >= 0.0) cfg.ycsb_theta = theta_override_;
+    if (!dist_override_.empty()) cfg.ycsb_dist = dist_override_;
+    if (records_override_ > 0) cfg.ycsb_records = records_override_;
+    if (!arrival_override_.empty()) cfg.ycsb_arrival = arrival_override_;
+    if (shift_override_ >= 0) cfg.ycsb_shift = shift_override_;
+  }
+
   void parse_arg(const char* arg) {
     if (std::strcmp(arg, "--no-report") == 0) {
       report_path_.clear();

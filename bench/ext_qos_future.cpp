@@ -13,8 +13,6 @@
 using namespace dclue;
 
 namespace {
-constexpr double kTxnsPerBt = 2.0 + (0.05 + 0.05 + 0.04) / 0.43;
-
 core::ClusterConfig scenario() {
   core::ClusterConfig cfg = bench::base_config();
   cfg.nodes = 8;
@@ -36,8 +34,7 @@ int main(int argc, char** argv) {
   table.add_column("ftp_Mbps");
   table.add_column("ctl_dly_ms");
 
-  core::RunReport cap = core::run_experiment(scenario());
-  const double rate = 0.92 * (cap.txn_rate / 8.0) / kTxnsPerBt;
+  const double rate = sweep.open_loop_rates({scenario()})[0];
   const double ftp_mbps = bench::fast_mode() ? 100.0 : 400.0;
 
   std::vector<const char*> names;

@@ -25,9 +25,6 @@ core::ClusterConfig scenario(double affinity, double comp) {
   return cfg;
 }
 
-/// Average TPC-C transactions per business transaction (mix-derived).
-constexpr double kTxnsPerBt = 2.0 + (0.05 + 0.05 + 0.04) / 0.43;
-
 constexpr double kComps[] = {1.0, 0.25};
 constexpr double kAffinities[] = {0.8, 0.5};
 
@@ -43,28 +40,19 @@ int main(int argc, char** argv) {
 
   // Pass 1: closed-loop capacity probe per (comp, affinity), all points at
   // once. Pass 2 depends on these rates, so it is a second sweep.
-  bench::Sweep probes;
+  std::vector<core::ClusterConfig> probes;
   for (double comp : kComps) {
-    for (double a : kAffinities) {
-      probes.add(scenario(a, comp));
-    }
+    for (double a : kAffinities) probes.push_back(scenario(a, comp));
   }
-  probes.run();
-
-  std::size_t p = 0;
-  std::array<std::array<double, 2>, 2> open_rate{};  // [comp][affinity], bt/s per node
-  for (std::size_t ci = 0; ci < 2; ++ci) {
-    for (std::size_t ai = 0; ai < 2; ++ai) {
-      open_rate[ci][ai] = 0.92 * (probes[p++].txn_rate / 8.0) / kTxnsPerBt;
-    }
-  }
+  // [comp * 2 + affinity], bt/s per node
+  const std::vector<double> open_rate = sweep.open_loop_rates(probes);
 
   // Pass 2: open-loop latency sweep for both figures.
   for (std::size_t ci = 0; ci < 2; ++ci) {
     for (double ms : latencies) {
       for (std::size_t ai = 0; ai < 2; ++ai) {
         core::ClusterConfig cfg = scenario(kAffinities[ai], kComps[ci]);
-        cfg.open_loop_bt_rate_per_node = open_rate[ci][ai];
+        cfg.open_loop_bt_rate_per_node = open_rate[ci * 2 + ai];
         cfg.extra_inter_lata_latency = ms * 1e-3;
         sweep.add(ms, cfg);
       }

@@ -17,7 +17,6 @@
 using namespace dclue;
 
 namespace {
-constexpr double kTxnsPerBt = 2.0 + (0.05 + 0.05 + 0.04) / 0.43;
 constexpr double kComps[] = {1.0, 0.25};
 
 core::ClusterConfig scenario(double comp) {
@@ -39,13 +38,8 @@ int main(int argc, char** argv) {
                                         : std::vector<double>{0, 100, 200, 400, 600};
 
   // Closed-loop capacity probes (both figures), then the open-loop grid.
-  bench::Sweep probes;
-  for (double comp : kComps) probes.add(scenario(comp));
-  probes.run();
-  std::array<double, 2> rate{};
-  for (std::size_t ci = 0; ci < 2; ++ci) {
-    rate[ci] = 0.92 * (probes[ci].txn_rate / 8.0) / kTxnsPerBt;
-  }
+  const std::vector<double> rate =
+      sweep.open_loop_rates({scenario(kComps[0]), scenario(kComps[1])});
 
   for (std::size_t ci = 0; ci < 2; ++ci) {
     for (double mbps : loads) {

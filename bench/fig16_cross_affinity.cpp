@@ -11,8 +11,6 @@
 using namespace dclue;
 
 namespace {
-constexpr double kTxnsPerBt = 2.0 + (0.05 + 0.05 + 0.04) / 0.43;
-
 core::ClusterConfig base_for(double affinity) {
   core::ClusterConfig cfg = bench::base_config();
   cfg.nodes = 8;
@@ -38,15 +36,14 @@ int main(int argc, char** argv) {
       bench::fast_mode() ? std::vector<double>{0.8, 0.0}
                          : std::vector<double>{1.0, 0.8, 0.5, 0.0};
 
-  bench::Sweep probes;
-  for (double a : affinities) probes.add(base_for(a));
-  probes.run();
+  std::vector<core::ClusterConfig> probes;
+  for (double a : affinities) probes.push_back(base_for(a));
+  const std::vector<double> rate = sweep.open_loop_rates(probes);
 
   for (std::size_t ai = 0; ai < affinities.size(); ++ai) {
-    const double rate = 0.92 * (probes[ai].txn_rate / 8.0) / kTxnsPerBt;
     for (double mbps : {0.0, 100.0}) {
       core::ClusterConfig cfg = base_for(affinities[ai]);
-      cfg.open_loop_bt_rate_per_node = rate;
+      cfg.open_loop_bt_rate_per_node = rate[ai];
       cfg.ftp.offered_load_mbps = mbps;
       cfg.ftp.high_priority = true;
       sweep.add(affinities[ai], cfg);

@@ -92,7 +92,6 @@ sim::Task<void> FusionLayer::fetch_miss(db::PageId page, bool exclusive,
                                         int storage_home, bool upgrade_only,
                                         bool allocate) {
   const int home = dir_home(page);
-  bool has_supplier = false;
 
   if (home == d_.node_id) {
     // Local directory: the lookup is a table operation, no messaging.
@@ -116,8 +115,6 @@ sim::Task<void> FusionLayer::fetch_miss(db::PageId page, bool exclusive,
         co_return;
       }
       // Supplier crashed before transferring: fall back to the disk read.
-    } else {
-      has_supplier = result.has_supplier;
     }
   } else {
     const std::uint64_t data_req = d_.ipc->new_req_id();
@@ -149,12 +146,10 @@ sim::Task<void> FusionLayer::fetch_miss(db::PageId page, bool exclusive,
         }
         // Supplier crashed before transferring: read from disk instead.
       }
-      has_supplier = reply->has_supplier;
     }
   }
 
   if (upgrade_only) co_return;  // permission granted; data already local
-  (void)has_supplier;
   if (allocate) co_return;  // fresh append page: born in cache, no disk read
   // Negative response: "A obtains block X from the disk (local or remote)."
   co_await disk_fetch(page, storage_home);
@@ -187,19 +182,6 @@ sim::Task<void> FusionLayer::disk_fetch(db::PageId page, int storage_home) {
     co_await d_.iscsi[static_cast<std::size_t>(storage_home)]->read(
         block_address(page), db::kPageBytes);
   }
-}
-
-void FusionLayer::write_back(db::PageId page, int storage_home) {
-  // Lazy dirty-page write-back: background disk load, nobody waits on it.
-  sim::spawn([](FusionLayer* self, db::PageId page,
-                int storage_home) -> sim::Task<void> {
-    if (storage_home == self->d_.node_id || self->d_.num_nodes == 1) {
-      co_await self->d_.data_disk->write(block_address(page), db::kPageBytes);
-    } else {
-      co_await self->d_.iscsi[static_cast<std::size_t>(storage_home)]->write(
-          block_address(page), db::kPageBytes);
-    }
-  }(this, page, storage_home));
 }
 
 void FusionLayer::process_evictions(const db::BufferCache::EvictedList& evicted) {

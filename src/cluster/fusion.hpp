@@ -6,6 +6,9 @@
 /// flushes, and the storage path (local SCSI vs remote iSCSI). This is the
 /// "A/B/C" exchange: A misses, asks directory home B, B forwards to supplier
 /// C, C ships the block to A as an 8 KB+ data message, A confirms to B.
+/// Both homes come from cluster::PartitionMap (partition.hpp): B is
+/// home_of_page (FusionDeps::dir_home_fn), and the storage home a miss reads
+/// from disk is the caller's PartitionMap::storage_home of the row.
 
 #include <functional>
 #include <memory>
@@ -18,7 +21,6 @@
 #include "core/node_stats.hpp"
 #include "db/buffer_cache.hpp"
 #include "db/lock_manager.hpp"
-#include "db/mvcc.hpp"
 #include "proto/iscsi.hpp"
 #include "storage/disk_array.hpp"
 
@@ -27,14 +29,6 @@ namespace dclue::cluster {
 /// Versioning data shipped along with fused blocks ("the larger part comes
 /// because of additional versioning data").
 inline constexpr sim::Bytes kVersionExtraBytes = 1024;
-
-/// Storage home for pages not tied to a warehouse (item table, index pages):
-/// deterministic hash spread across nodes. Shared between the access path
-/// and cache prewarming so both agree.
-constexpr int page_hash_home(db::PageId page, int num_nodes) {
-  std::uint64_t h = page * 0x9e3779b97f4a7c15ULL;
-  return static_cast<int>((h >> 17) % static_cast<std::uint64_t>(num_nodes));
-}
 
 /// Disk block address for a page: per-table regions, so the elevator works
 /// per table as in the paper.
@@ -57,15 +51,14 @@ struct FusionDeps {
   db::BufferCache* cache = nullptr;
   DirectoryService* directory = nullptr;  ///< this node's homed portion
   db::LockManager* locks = nullptr;       ///< this node's homed portion
-  db::VersionManager* versions = nullptr;
   storage::BlockDevice* data_disk = nullptr;
   /// iSCSI initiators indexed by target node; [node_id] unused.
   std::vector<proto::IscsiInitiator*> iscsi;
   IpcService::Charge charge;
   core::PathLengths pl;
   core::NodeStats* stats = nullptr;
-  /// Directory / lock mastering function (partition-affine; see
-  /// cluster/partition.hpp). Falls back to hashing when unset.
+  /// Directory / lock master of a page (required). The node sets
+  /// cluster::PartitionMap::home_of_page; tests may fake it.
   std::function<int(db::PageId)> dir_home_fn;
 };
 
@@ -74,7 +67,8 @@ class FusionLayer {
   explicit FusionLayer(FusionDeps deps);
 
   /// Bring \p page into the local buffer cache with the requested mode.
-  /// \p storage_home: node whose disks hold the page (warehouse partition).
+  /// \p storage_home: node whose disks hold the page's row
+  /// (PartitionMap::storage_home).
   /// \p allocate: the page is being appended to (inserts); if no node holds
   /// it there is nothing to read from disk — it is born in the cache.
   sim::Task<void> access_page(db::PageId page, bool exclusive, int storage_home,
@@ -94,8 +88,7 @@ class FusionLayer {
   }
 
   [[nodiscard]] int dir_home(db::PageId page) const {
-    if (d_.dir_home_fn) return d_.dir_home_fn(page);
-    return page_hash_home(page, d_.num_nodes);
+    return d_.dir_home_fn(page);
   }
 
  private:
@@ -134,7 +127,6 @@ class FusionLayer {
   sim::Task<void> fetch_miss(db::PageId page, bool exclusive, int storage_home,
                              bool upgrade_only, bool allocate);
   sim::Task<void> disk_fetch(db::PageId page, int storage_home);
-  void write_back(db::PageId page, int storage_home);
   void process_evictions(const db::BufferCache::EvictedList& evicted);
   void serve_block(db::PageId page, int requester, std::uint64_t data_req_id);
   sim::DetachedTask handle_dir_request(Envelope env);

@@ -1,34 +1,55 @@
 #pragma once
 
 /// \file partition.hpp
-/// Warehouse partitioning and page homing. The database is partitioned in
-/// equal blocks of warehouses per node (§2.2); a page's *storage* home is
-/// the node whose disks hold it, and — as in RAC's resource affinity — the
-/// directory/lock master for a partitioned page is co-located with its
-/// partition, so a perfectly affine workload (alpha = 1.0) generates almost
-/// no IPC. Pages with no warehouse identity (item table) are hash-mastered
-/// across the cluster.
+/// The cluster's one placement rule. The database is partitioned in equal
+/// blocks of warehouses per node (§2.2), and the YCSB keyspace in equal
+/// contiguous key ranges. Every node-placement question the model asks is
+/// answered here:
+///   - owner_of_warehouse / owner_of_ycsb_key: where a client routes a
+///     request with probability alpha (workload/client.hpp);
+///   - storage_home(page, key): the node whose disks hold a row, taken from
+///     the row's own key (workload::TxnExecutor's row accesses);
+///   - home_of_page(page): the directory / lock master of a page, taken from
+///     the last key the page can hold (cluster::FusionLayer::dir_home, and
+///     the cache prewarm). As in RAC's resource affinity it is co-located
+///     with the partition, so a perfectly affine workload (alpha = 1.0)
+///     generates almost no IPC.
+/// Pages with no partition identity (the item table) are hash-homed across
+/// the cluster for both purposes.
 ///
 /// Every warehouse-keyed table is key-clustered (see db::TableSpec), so both
 /// data pages (page_no = key / rows_per_page) and index leaf pages
 /// (page_no = key / keys_per_leaf) preserve the warehouse bits of the key,
-/// which this map reconstructs.
+/// which this map reconstructs. The two homes differ only on a page that
+/// straddles a partition boundary: each row there is stored by its own
+/// warehouse's node, while the page's directory entry lives with the higher
+/// warehouse, whose rows populate it.
 
 #include <algorithm>
+#include <cstdint>
 
-#include "cluster/fusion.hpp"
 #include "db/tpcc_schema.hpp"
 
 namespace dclue::cluster {
+
+/// Home for pages with no partition identity (item table): a deterministic
+/// hash spread across nodes.
+constexpr int page_hash_home(db::PageId page, int num_nodes) {
+  std::uint64_t h = page * 0x9e3779b97f4a7c15ULL;
+  return static_cast<int>((h >> 17) % static_cast<std::uint64_t>(num_nodes));
+}
 
 class PartitionMap {
  public:
   PartitionMap(const db::TpccDatabase& db, int nodes) : db_(&db), nodes_(nodes) {}
 
   [[nodiscard]] int nodes() const { return nodes_; }
+  [[nodiscard]] std::int64_t warehouses() const {
+    return db_->scale().warehouses;
+  }
 
   [[nodiscard]] int owner_of_warehouse(std::int64_t w) const {
-    const std::int64_t total = db_->scale().warehouses;
+    const std::int64_t total = warehouses();
     const std::int64_t idx = std::clamp<std::int64_t>(w - 1, 0, total - 1);
     return static_cast<int>(idx * nodes_ / total);
   }
@@ -46,28 +67,28 @@ class PartitionMap {
     return static_cast<int>(k * nodes_ / records);
   }
 
-  /// Directory / lock master (and storage home) for a page.
-  [[nodiscard]] int home_of_page(db::PageId page) const {
-    if (nodes_ == 1) return 0;
+  /// Storage home of the row keyed \p key on \p page (its data page or
+  /// index leaf): the node whose disks hold it.
+  [[nodiscard]] int storage_home(db::PageId page, db::Key key) const {
     const db::TableId table = db::table_of_page(page);
     if (table == db::TableId::kItem) return page_hash_home(page, nodes_);
     if (table == db::TableId::kYcsb) {
-      const std::int64_t keys_per_page =
-          db::is_index_page(page) ? 32 : rows_per_page(table);
-      const auto page_no = static_cast<std::int64_t>(db::page_number(page));
-      return owner_of_ycsb_key((page_no + 1) * keys_per_page - 1);
+      return owner_of_ycsb_key(static_cast<std::int64_t>(key));
     }
+    return owner_of_warehouse(static_cast<std::int64_t>(key >> key_shift(table)));
+  }
 
-    const bool index = db::is_index_page(page);
-    const auto page_no = static_cast<std::int64_t>(db::page_number(page));
-    // Reconstruct the LAST key coverable by the page. Key runs start at the
-    // bottom of each warehouse's block, so when a page straddles a block
-    // boundary its populated rows belong to the *higher* warehouse — the
-    // end-of-page key recovers exactly that one.
+  /// Directory / lock master for a page: the storage home of the LAST key
+  /// the page can hold. Key runs start at the bottom of each warehouse's
+  /// block, so when a page straddles a block boundary its populated rows
+  /// belong to the *higher* warehouse, and the end-of-page key recovers
+  /// exactly that one.
+  [[nodiscard]] int home_of_page(db::PageId page) const {
+    const db::TableId table = db::table_of_page(page);
     const std::int64_t keys_per_page =
-        index ? 32 : rows_per_page(table);  // Table::kIndexKeysPerLeaf
-    const std::int64_t key = (page_no + 1) * keys_per_page - 1;
-    return owner_of_warehouse(std::max<std::int64_t>(key >> key_shift(table), 1));
+        db::is_index_page(page) ? 32 : rows_per_page(table);  // Table::kIndexKeysPerLeaf
+    const auto page_no = static_cast<std::int64_t>(db::page_number(page));
+    return storage_home(page, static_cast<db::Key>((page_no + 1) * keys_per_page - 1));
   }
 
   /// Bit position of the warehouse id within each table's composite key.

@@ -216,15 +216,11 @@ void Cluster::build_clients() {
       // so offered load is independent of the host count.
       yp.arrival.rate = arrival.rate * cfg_.nodes / hosts;
       yp.affinity = cfg_.affinity;
-      yp.nodes = cfg_.nodes;
       yp.host_index = h;
       yp.server_addrs = server_addrs;
-      yp.owner_of_key = [pm](std::int64_t key) {
-        return pm.owner_of_ycsb_key(key);
-      };
       yp.start_gate = gate;
       ycsb_fleets_.push_back(std::make_unique<workload::YcsbFleet>(
-          eng, *stack, std::move(yp), rngs_));
+          eng, *stack, pm, std::move(yp), rngs_));
     } else {
       const int share = (total_terminals - assigned) / (hosts - h);
       workload::TerminalFleetParams fp;
@@ -234,15 +230,10 @@ void Cluster::build_clients() {
       fp.open_loop_rate =
           cfg_.open_loop_bt_rate_per_node * cfg_.nodes / hosts;
       fp.affinity = cfg_.affinity;
-      fp.warehouses = db_->scale().warehouses;
-      fp.nodes = cfg_.nodes;
       fp.server_addrs = server_addrs;
-      fp.owner_of_warehouse = [pm](std::int64_t w) {
-        return pm.owner_of_warehouse(w);
-      };
       fp.start_gate = gate;
       fleets_.push_back(std::make_unique<workload::TerminalFleet>(
-          eng, *stack, db_->scale(), std::move(fp), rngs_));
+          eng, *stack, db_->scale(), pm, std::move(fp), rngs_));
       assigned += share;
     }
     client_stacks_.push_back(std::move(stack));
@@ -612,17 +603,17 @@ void Cluster::prewarm() {
   // cluster directories with matching holder records), hottest tables first.
   // A real deployment measures steady state, not a cold cache; faulting the
   // working set through the 100x-slowed disks would consume the entire run.
-  cluster::PartitionMap pm(*db_, cfg_.nodes);
-  auto warm_page = [this](db::PageId page, int home) {
+  // Each page warms at its directory home, which also records the holder.
+  const cluster::PartitionMap pm(*db_, cfg_.nodes);
+  auto warm = [this, &pm](db::PageId page) {
+    const int home = pm.home_of_page(page);
     auto& node = *nodes_[static_cast<std::size_t>(home)];
     if (node.cache().size() * 10 >= node.cache().capacity() * 9) return;
     node.cache().insert(page, db::PageMode::kShared);
-    const int dh = node.fusion().dir_home(page);
-    nodes_[static_cast<std::size_t>(dh)]->directory().confirm(page, home);
+    node.directory().confirm(page, home);
   };
   // A table's data pages, then its index leaf pages, each in key order.
-  auto warm_table = [&](const auto& table) {
-    auto warm = [&](db::PageId page) { warm_page(page, pm.home_of_page(page)); };
+  auto warm_table = [&warm](const auto& table) {
     table.for_each_data_page(warm);
     table.for_each_index_page(warm);
   };

@@ -97,7 +97,6 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   deps.cache = cache_.get();
   deps.directory = directory_.get();
   deps.locks = locks_.get();
-  deps.versions = versions_.get();
   deps.data_disk = data_disk_.get();
   deps.iscsi.resize(static_cast<std::size_t>(cfg.nodes));
   for (int peer = 0; peer < cfg.nodes; ++peer) {
@@ -125,10 +124,6 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   env.stats = &stats_;
   env.pl = pl;
   env.global_clock = global_clock;
-  env.storage_home_of_warehouse = [pm = cluster::PartitionMap(db, cfg.nodes)](
-                                      std::int64_t w) {
-    return pm.owner_of_warehouse(w);
-  };
   env.rng = &rng_;
   env.lock_retry_delay = sim::milliseconds(0.3) * cfg.scale;
   env.alive = &alive_;

@@ -88,43 +88,6 @@ void MetricsRegistry::add_entry(std::string name, MetricKind kind, void* ptr) {
   entries_.push_back(Entry{std::move(name), kind, ptr, {}});
 }
 
-Counter& MetricsRegistry::counter(std::string name) {
-  Counter& c = counters_.emplace_back();
-  add_entry(std::move(name), MetricKind::kCounter, &c);
-  return c;
-}
-
-Gauge& MetricsRegistry::gauge(std::string name) {
-  Gauge& g = gauges_.emplace_back();
-  add_entry(std::move(name), MetricKind::kGauge, &g);
-  return g;
-}
-
-Accum& MetricsRegistry::accum(std::string name) {
-  Accum& a = accums_.emplace_back();
-  add_entry(std::move(name), MetricKind::kAccum, &a);
-  return a;
-}
-
-Tally& MetricsRegistry::tally(std::string name) {
-  Tally& t = tallies_.emplace_back();
-  add_entry(std::move(name), MetricKind::kTally, &t);
-  return t;
-}
-
-TimeWeightedAvg& MetricsRegistry::time_weighted(std::string name) {
-  TimeWeightedAvg& tw = time_weighted_.emplace_back();
-  add_entry(std::move(name), MetricKind::kTimeWeighted, &tw);
-  return tw;
-}
-
-Histogram& MetricsRegistry::histogram(std::string name, double lo, double hi,
-                                      std::size_t bins) {
-  Histogram& h = histograms_.emplace_back(lo, hi, bins);
-  add_entry(std::move(name), MetricKind::kHistogram, &h);
-  return h;
-}
-
 void MetricsRegistry::gauge_fn(std::string name, std::function<double()> fn) {
   entries_.push_back(Entry{std::move(name), MetricKind::kGaugeFn, nullptr,
                            std::move(fn)});

@@ -4,14 +4,10 @@
 /// The MetricsRegistry: one registration / lookup / snapshot / reset surface
 /// for every collector in the simulation.
 ///
-/// Two ownership styles coexist:
-///   - registry-owned metrics, created by the typed factory methods
-///     (`counter("tcp.rto_fires")` returns a stable `Counter&` backed by a
-///     deque, so handles never invalidate), and
-///   - bound metrics, where a subsystem keeps the collector as a member for
-///     hot-path locality and hands the registry a non-owning pointer via
-///     `bind()`. Binding is how NodeStats, links, disks etc. join the
-///     registry without an indirection on their increment paths.
+/// The registry owns no collector. Every subsystem keeps its collectors as
+/// members, for hot-path locality, and hands the registry a non-owning
+/// pointer via `bind()`. Binding is how NodeStats, links, disks etc. join
+/// the registry without an indirection on their increment paths.
 ///
 /// `gauge_fn` registers a sampled gauge: the callback runs at snapshot time
 /// and the value is never reset — use it for externally-accumulated totals
@@ -27,7 +23,6 @@
 /// keeping every consumer (reports, goldens) deterministic.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -95,14 +90,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // -- registry-owned metrics (stable references; deque-backed) -----------
-  Counter& counter(std::string name);
-  Gauge& gauge(std::string name);
-  Accum& accum(std::string name);
-  Tally& tally(std::string name);
-  TimeWeightedAvg& time_weighted(std::string name);
-  Histogram& histogram(std::string name, double lo, double hi, std::size_t bins);
-
   /// Sampled gauge: `fn` runs at snapshot time; never reset.
   void gauge_fn(std::string name, std::function<double()> fn);
 
@@ -139,14 +126,6 @@ class MetricsRegistry {
   };
 
   void add_entry(std::string name, MetricKind kind, void* ptr);
-
-  // Owned pools. Deques keep references stable across growth.
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
-  std::deque<Accum> accums_;
-  std::deque<Tally> tallies_;
-  std::deque<TimeWeightedAvg> time_weighted_;
-  std::deque<Histogram> histograms_;
 
   std::vector<Entry> entries_;  ///< registration order
   std::vector<std::function<void(sim::Time)>> reset_hooks_;

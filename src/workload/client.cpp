@@ -45,8 +45,8 @@ sim::DetachedTask YcsbFleet::arrival_loop() {
     PendingOp p;
     p.op = gen_.next(engine_.now());
     p.server = rng.chance(params_.affinity)
-                   ? params_.owner_of_key(p.op.key)
-                   : static_cast<int>(rng.uniform_int(0, params_.nodes - 1));
+                   ? partition_.owner_of_ycsb_key(p.op.key)
+                   : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
     p.arrived = engine_.now();
     if (admission_.offer(p) == Admit::kNow) one_op(p);
   }
@@ -102,11 +102,12 @@ sim::DetachedTask TerminalFleet::open_loop_arrivals() {
     // Arrivals cycle through the warehouse space like the terminal pool.
     const std::int64_t w =
         static_cast<std::int64_t>((params_.first_terminal_index + next_arrival_++) %
-                                  static_cast<std::uint64_t>(params_.warehouses)) +
+                                  static_cast<std::uint64_t>(partition_.warehouses())) +
         1;
-    const int server = rng.chance(params_.affinity)
-                           ? params_.owner_of_warehouse(w)
-                           : static_cast<int>(rng.uniform_int(0, params_.nodes - 1));
+    const int server =
+        rng.chance(params_.affinity)
+            ? partition_.owner_of_warehouse(w)
+            : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
     one_business_txn(w, server);
   }
 }
@@ -128,16 +129,17 @@ sim::DetachedTask TerminalFleet::terminal_loop(int t) {
                          rngs_.stream("terminal-gen",
                                       static_cast<std::uint64_t>(global_index)));
   // Fixed warehouse binding per the TPC-C terminal rules.
-  const std::int64_t w = global_index % params_.warehouses + 1;
-  const int home = params_.owner_of_warehouse(w);
+  const std::int64_t w = global_index % partition_.warehouses() + 1;
+  const int home = partition_.owner_of_warehouse(w);
 
   if (params_.start_gate) co_await params_.start_gate->wait();
   for (;;) {
     co_await sim::delay_for(engine_, rng.exponential(params_.think_time));
     // Affinity routing: right server with probability alpha, random otherwise.
-    const int server = rng.chance(params_.affinity)
-                           ? home
-                           : static_cast<int>(rng.uniform_int(0, params_.nodes - 1));
+    const int server =
+        rng.chance(params_.affinity)
+            ? home
+            : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
     co_await business_txn(gen, w, server);
   }
 }

@@ -16,11 +16,11 @@
 ///     histogram for p50/p99 reporting.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
 
+#include "cluster/partition.hpp"
 #include "net/tcp.hpp"
 #include "proto/channel.hpp"
 #include "sim/rng.hpp"
@@ -77,20 +77,21 @@ struct TerminalFleetParams {
   /// completions. 0 = closed loop.
   double open_loop_rate = 0.0;
   double affinity = 1.0;
-  std::int64_t warehouses = 1;
-  int nodes = 1;
   std::vector<net::Address> server_addrs;  ///< indexed by node id
-  std::function<int(std::int64_t)> owner_of_warehouse;
   sim::Gate* start_gate = nullptr;  ///< cluster-ready barrier
 };
 
 class TerminalFleet {
  public:
+  /// \p partition routes each terminal's requests (its warehouse's owner)
+  /// and holds the warehouse and node counts.
   TerminalFleet(sim::Engine& engine, net::TcpStack& stack, db::TpccScale scale,
+                const cluster::PartitionMap& partition,
                 TerminalFleetParams params, sim::RngFactory rngs)
       : engine_(engine),
         stack_(stack),
         scale_(scale),
+        partition_(partition),
         params_(std::move(params)),
         rngs_(rngs) {}
 
@@ -119,6 +120,7 @@ class TerminalFleet {
   sim::Engine& engine_;
   net::TcpStack& stack_;
   db::TpccScale scale_;
+  cluster::PartitionMap partition_;
   TerminalFleetParams params_;
   sim::RngFactory rngs_;
   std::uint64_t completed_ = 0;
@@ -132,10 +134,8 @@ struct YcsbFleetParams {
   YcsbSpec spec;
   ArrivalSpec arrival;  ///< rate already divided down to this fleet's share
   double affinity = 1.0;
-  int nodes = 1;
   int host_index = 0;  ///< RNG stream index (one fleet per client host)
   std::vector<net::Address> server_addrs;  ///< indexed by node id
-  std::function<int(std::int64_t)> owner_of_key;
   sim::Gate* start_gate = nullptr;  ///< cluster-ready barrier
 };
 
@@ -146,10 +146,14 @@ struct YcsbFleetParams {
 /// growth, never as a throttled arrival process.
 class YcsbFleet {
  public:
-  YcsbFleet(sim::Engine& engine, net::TcpStack& stack, YcsbFleetParams params,
+  /// \p partition routes each op (its key's owner) and holds the node
+  /// count.
+  YcsbFleet(sim::Engine& engine, net::TcpStack& stack,
+            const cluster::PartitionMap& partition, YcsbFleetParams params,
             sim::RngFactory rngs)
       : engine_(engine),
         stack_(stack),
+        partition_(partition),
         params_(std::move(params)),
         rngs_(rngs),
         gen_(params_.spec,
@@ -192,6 +196,7 @@ class YcsbFleet {
 
   sim::Engine& engine_;
   net::TcpStack& stack_;
+  cluster::PartitionMap partition_;
   YcsbFleetParams params_;
   sim::RngFactory rngs_;
   YcsbOpGenerator gen_;

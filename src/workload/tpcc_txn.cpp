@@ -89,22 +89,18 @@ std::vector<TxnInput> TpccInputGenerator::business_transaction(std::int64_t home
 // Row access primitives
 // ---------------------------------------------------------------------------
 
-using cluster::page_hash_home;
-
 template <typename Row>
 sim::Task<Row*> TxnExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
-                                      db::Key key, std::int64_t w) {
+                                      db::Key key) {
   const db::PageId index_page = table.index_page_of(key);
-  const int idx_home = w >= 0 ? storage_home(w)
-                              : page_hash_home(index_page, env_.num_nodes);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
-  co_await env_.fusion->access_page(index_page, false, idx_home);
+  co_await env_.fusion->access_page(index_page, false,
+                                    partition_.storage_home(index_page, key));
   auto id = table.find_id(key);
   if (!id) co_return nullptr;
   const db::PageId page = table.page_for(key, *id);
-  const int home = w >= 0 ? storage_home(w) : page_hash_home(page, env_.num_nodes);
-  co_await env_.fusion->access_page(page, false, home);
+  co_await env_.fusion->access_page(page, false, partition_.storage_home(page, key));
   const int hops =
       env_.versions->chain_hops(page, table.subpage_for(key, *id), ctx.snapshot);
   co_await env_.proc->compute(
@@ -115,17 +111,17 @@ sim::Task<Row*> TxnExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
 
 template <typename Row>
 sim::Task<void> TxnExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
-                                       db::Key key, std::int64_t w,
+                                       db::Key key,
                                        std::function<void(Row&)> apply) {
   const db::PageId index_page = table.index_page_of(key);
-  const int home = w >= 0 ? storage_home(w) : page_hash_home(index_page, env_.num_nodes);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
-  co_await env_.fusion->access_page(index_page, false, home);
+  co_await env_.fusion->access_page(index_page, false,
+                                    partition_.storage_home(index_page, key));
   auto id = table.find_id(key);
   if (!id) co_return;  // row vanished (e.g. concurrent delivery)
   const db::PageId page = table.page_for(key, *id);
-  co_await env_.fusion->access_page(page, true, home);
+  co_await env_.fusion->access_page(page, true, partition_.storage_home(page, key));
   const int subpage = table.subpage_for(key, *id);
   co_await env_.proc->compute(env_.pl.row_update, cpu::JobClass::kApplication,
                               ctx.tid);
@@ -141,12 +137,12 @@ sim::Task<void> TxnExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
 
 template <typename Row>
 sim::Task<void> TxnExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
-                                        db::Key predicted_key, std::int64_t w,
+                                        db::Key predicted_key,
                                         std::function<void()> apply) {
   const db::PageId page = table.spec().clustered
                               ? table.data_page_of_key(predicted_key)
                               : table.append_page();
-  const int home = w >= 0 ? storage_home(w) : page_hash_home(page, env_.num_nodes);
+  const int home = partition_.storage_home(page, predicted_key);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
   // Both the index leaf and the data page may be freshly created by this
@@ -158,8 +154,9 @@ sim::Task<void> TxnExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
                               ctx.tid);
   // Inserts latch the append page only for the duration of the operation
   // (heap/leaf insertion), not until commit — cross-transaction ordering of
-  // new rows is already serialized by the district row lock. A commit-length
-  // lock here would falsely serialize every new-order in the cluster.
+  // new rows is already serialized by the district row lock (YCSB inserts
+  // go to a node-private key region). A commit-length lock here would
+  // falsely serialize every new-order in the cluster.
   ctx.log_bytes += table.spec().row_bytes + 64;
   ctx.applies.push_back(std::move(apply));
 }
@@ -170,18 +167,18 @@ sim::Task<void> TxnExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
 
 sim::Task<void> TxnExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
-  co_await read_row(ctx, db.warehouse, key_w(in.w), in.w);
-  co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c), in.w);
+  co_await read_row(ctx, db.warehouse, key_w(in.w));
+  co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c));
   // District: allocate the order id under the write lock at apply time.
   // (All lambdas below are named locals: GCC 12 double-destroys non-trivial
   // temporaries appearing inside co_await call expressions.)
   auto o_id = std::make_shared<std::int64_t>(0);
   std::function<void(db::DistrictRow&)> bump_order_id =
       [o_id](db::DistrictRow& r) { *o_id = r.next_o_id++; };
-  co_await write_row<db::DistrictRow>(ctx, db.district, key_wd(in.w, in.d), in.w,
+  co_await write_row<db::DistrictRow>(ctx, db.district, key_wd(in.w, in.d),
                                       bump_order_id);
   for (const auto& line : in.lines) {
-    co_await read_row(ctx, db.item, key_i(line.item), -1);
+    co_await read_row(ctx, db.item, key_i(line.item));
     std::function<void(db::StockRow&)> take_stock =
         [qty = line.quantity](db::StockRow& s) {
           s.quantity = static_cast<std::int16_t>(s.quantity - qty);
@@ -190,8 +187,7 @@ sim::Task<void> TxnExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
           ++s.order_cnt;
         };
     co_await write_row<db::StockRow>(ctx, db.stock,
-                                     key_wi(line.supply_w, line.item),
-                                     line.supply_w, take_stock);
+                                     key_wi(line.supply_w, line.item), take_stock);
   }
   // Order + new-order + order-lines are inserted once the order id is known.
   const std::int64_t o_pred = db.district.find(key_wd(in.w, in.d))->next_o_id;
@@ -220,16 +216,15 @@ sim::Task<void> TxnExecutor::new_order(const TxnInput& in, TxnCtx& ctx) {
         }
       };
   co_await insert_row<db::OrderRow>(ctx, db.order, key_wdo(in.w, in.d, o_pred),
-                                    in.w, insert_order_rows);
+                                    insert_order_rows);
   std::function<void()> noop = [] {};
   co_await insert_row<db::NewOrderRow>(ctx, db.new_order,
-                                       key_wdo(in.w, in.d, o_pred), in.w, noop);
+                                       key_wdo(in.w, in.d, o_pred), noop);
   // Order lines land on the district's order-line pages.
   for (std::size_t i = 0; i < in.lines.size(); ++i) {
     co_await insert_row<db::OrderLineRow>(
         ctx, db.order_line,
-        key_wdool(in.w, in.d, o_pred, static_cast<std::int64_t>(i + 1)), in.w,
-        noop);
+        key_wdool(in.w, in.d, o_pred, static_cast<std::int64_t>(i + 1)), noop);
   }
 }
 
@@ -238,20 +233,17 @@ sim::Task<void> TxnExecutor::payment(const TxnInput& in, TxnCtx& ctx) {
   const double amount = in.amount;
   std::function<void(db::WarehouseRow&)> pay_wh =
       [amount](db::WarehouseRow& r) { r.ytd += amount; };
-  co_await write_row<db::WarehouseRow>(ctx, db.warehouse, key_w(in.w), in.w,
-                                       pay_wh);
+  co_await write_row<db::WarehouseRow>(ctx, db.warehouse, key_w(in.w), pay_wh);
   std::function<void(db::DistrictRow&)> pay_d =
       [amount](db::DistrictRow& r) { r.ytd += amount; };
-  co_await write_row<db::DistrictRow>(ctx, db.district, key_wd(in.w, in.d), in.w,
-                                      pay_d);
+  co_await write_row<db::DistrictRow>(ctx, db.district, key_wd(in.w, in.d), pay_d);
   std::function<void(db::CustomerRow&)> pay_c = [amount](db::CustomerRow& r) {
     r.balance -= amount;
     r.ytd_payment += amount;
     ++r.payment_cnt;
   };
   co_await write_row<db::CustomerRow>(ctx, db.customer,
-                                      key_wdc(in.c_w, in.c_d, in.c), in.c_w,
-                                      pay_c);
+                                      key_wdc(in.c_w, in.c_d, in.c), pay_c);
   auto& dbref = db;
   const std::int64_t hw = in.w;
   std::function<void()> insert_history;
@@ -274,19 +266,19 @@ sim::Task<void> TxnExecutor::payment(const TxnInput& in, TxnCtx& ctx) {
                            db::HistoryRow{});
     };
   }
-  co_await insert_row<db::HistoryRow>(ctx, db.history, history_pred, in.w,
+  co_await insert_row<db::HistoryRow>(ctx, db.history, history_pred,
                                       insert_history);
 }
 
 sim::Task<void> TxnExecutor::order_status(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
-  auto* cust = co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c), in.w);
+  auto* cust = co_await read_row(ctx, db.customer, key_wdc(in.w, in.d, in.c));
   if (!cust || cust->last_o_id == 0) co_return;
   const std::int64_t o = cust->last_o_id;
-  auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, in.d, o), in.w);
+  auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, in.d, o));
   if (!order) co_return;
   for (int ol = 1; ol <= order->ol_cnt; ++ol) {
-    co_await read_row(ctx, db.order_line, key_wdool(in.w, in.d, o, ol), in.w);
+    co_await read_row(ctx, db.order_line, key_wdool(in.w, in.d, o, ol));
   }
 }
 
@@ -296,63 +288,64 @@ sim::Task<void> TxnExecutor::delivery(const TxnInput& in, TxnCtx& ctx) {
     // Oldest undelivered order in this district (ordered index scan).
     co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                                 ctx.tid);
-    const db::PageId no_index = db.new_order.index_page_of(key_wdo(in.w, d, 0));
-    co_await env_.fusion->access_page(no_index, false, storage_home(in.w));
+    const db::Key no_lo = key_wdo(in.w, d, 0);
+    const db::PageId no_index = db.new_order.index_page_of(no_lo);
+    co_await env_.fusion->access_page(no_index, false,
+                                      partition_.storage_home(no_index, no_lo));
     // Atomic range probe: a raw lower_bound iterator would walk B-tree
     // leaves while another shard's new-order insert splits them (the tree
     // structure is shared across warehouses even though rows partition).
-    auto no_key_opt = db.new_order.first_key_in_range(key_wdo(in.w, d, 0),
-                                                      key_wdo(in.w, d + 1, 0));
+    auto no_key_opt =
+        db.new_order.first_key_in_range(no_lo, key_wdo(in.w, d + 1, 0));
     if (!no_key_opt) continue;
     const db::Key no_key = *no_key_opt;
     const std::int64_t o = static_cast<std::int64_t>(no_key & 0xffffffff);
 
     // Remove the new-order row (erase is applied at commit).
     std::function<void(db::NewOrderRow&)> no_noop = [](db::NewOrderRow&) {};
-    co_await write_row<db::NewOrderRow>(ctx, db.new_order, no_key, in.w, no_noop);
+    co_await write_row<db::NewOrderRow>(ctx, db.new_order, no_key, no_noop);
     ctx.applies.push_back([&db, no_key] { db.new_order.erase(no_key); });
 
-    auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, d, o), in.w);
+    auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, d, o));
     if (!order) continue;
     const int ol_cnt = order->ol_cnt;
     const std::int64_t c_id = order->c_id;
     std::function<void(db::OrderRow&)> set_carrier = [](db::OrderRow& r) {
       r.carrier_id = 5;
     };
-    co_await write_row<db::OrderRow>(ctx, db.order, key_wdo(in.w, d, o), in.w,
+    co_await write_row<db::OrderRow>(ctx, db.order, key_wdo(in.w, d, o),
                                      set_carrier);
     std::function<void(db::OrderLineRow&)> mark_delivered =
         [](db::OrderLineRow& r) { r.delivered = true; };
     for (int ol = 1; ol <= ol_cnt; ++ol) {
       co_await write_row<db::OrderLineRow>(
-          ctx, db.order_line, key_wdool(in.w, d, o, ol), in.w, mark_delivered);
+          ctx, db.order_line, key_wdool(in.w, d, o, ol), mark_delivered);
     }
     std::function<void(db::CustomerRow&)> bump_delivery =
         [](db::CustomerRow& r) { ++r.delivery_cnt; };
     co_await write_row<db::CustomerRow>(ctx, db.customer,
-                                        key_wdc(in.w, d, c_id), in.w,
-                                        bump_delivery);
+                                        key_wdc(in.w, d, c_id), bump_delivery);
   }
 }
 
 sim::Task<void> TxnExecutor::stock_level(const TxnInput& in, TxnCtx& ctx) {
   auto& db = *env_.db;
-  auto* dist = co_await read_row(ctx, db.district, key_wd(in.w, in.d), in.w);
+  auto* dist = co_await read_row(ctx, db.district, key_wd(in.w, in.d));
   if (!dist) co_return;
   const std::int64_t next_o = dist->next_o_id;
   std::set<std::int64_t> items;
   for (std::int64_t o = std::max<std::int64_t>(1, next_o - 20); o < next_o; ++o) {
-    auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, in.d, o), in.w);
+    auto* order = co_await read_row(ctx, db.order, key_wdo(in.w, in.d, o));
     if (!order) continue;
     for (int ol = 1; ol <= order->ol_cnt; ++ol) {
       auto* line =
-          co_await read_row(ctx, db.order_line, key_wdool(in.w, in.d, o, ol), in.w);
+          co_await read_row(ctx, db.order_line, key_wdool(in.w, in.d, o, ol));
       if (line) items.insert(line->i_id);
     }
   }
   int low = 0;
   for (std::int64_t item : items) {
-    auto* stock = co_await read_row(ctx, db.stock, key_wi(in.w, item), in.w);
+    auto* stock = co_await read_row(ctx, db.stock, key_wi(in.w, item));
     // Sharded: a remote new-order line's lock-protected take_stock apply on
     // another shard may be mutating quantity concurrently. The comparison
     // result is discarded by the model (only the page accesses above are
@@ -428,6 +421,51 @@ sim::Task<bool> TxnExecutor::execute(const TxnInput& input, cpu::ThreadId tid) {
     env_.stats->t_by_type[type].record(env_.engine->now() - ctx.started);
   }
   co_return committed;
+}
+
+sim::Task<int> TxnExecutor::execute(const YcsbOp& op, cpu::ThreadId tid) {
+  TxnCtx ctx;
+  const bool live = co_await begin(ctx, tid);
+  if (!live) co_return -1;
+  auto& table = *env_.db->ycsb;
+  const db::Key key = db::key_ycsb(op.key);
+  std::function<void(db::YcsbRow&)> bump = [](db::YcsbRow& r) { ++r.writes; };
+  int rows = 1;
+  switch (op.type) {
+    case YcsbOpType::kRead:
+      co_await read_row(ctx, table, key);
+      break;
+    case YcsbOpType::kUpdate:
+      co_await write_row(ctx, table, key, bump);
+      break;
+    case YcsbOpType::kInsert: {
+      // Minted server-side in this node's own key region: each node appends
+      // to its own pages, and the key stream is a pure function of this
+      // node's request order.
+      const db::Key minted = db::ycsb_insert_key(env_.node_id, ++insert_seq_);
+      std::function<void()> insert = [&table, minted] {
+        table.insert(minted, db::YcsbRow{});
+      };
+      co_await insert_row(ctx, table, minted, insert);
+      break;
+    }
+    case YcsbOpType::kScan:
+      rows = co_await scan_keys(ctx, op.key, op.scan_len);
+      break;
+    case YcsbOpType::kRmw:
+      co_await read_row(ctx, table, key);
+      co_await write_row(ctx, table, key, bump);
+      rows = 2;
+      break;
+  }
+  end_phase1(ctx);
+
+  const bool committed = co_await commit(ctx);
+  const auto type = static_cast<std::size_t>(op.type);
+  finish(ctx, committed, kYcsbOpNames[type]);
+  if (!committed) co_return -1;
+  ops_by_type_[type].record();
+  co_return rows;
 }
 
 sim::Task<bool> TxnExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {

@@ -4,12 +4,15 @@
 /// The node's transaction executor, and the TPC-C inputs it runs. Both
 /// workload families go through one executor: the five TPC-C transactions
 /// and the YCSB keyed ops (workload/ycsb.hpp) differ only in their phase-1
-/// bodies — real B+-tree lookups and row accesses with buffer-cache /
-/// cache-fusion page accesses, latching the rows they will write. They share
-/// the begin, the outcome record and the commit: the paper's two-phase
-/// locking (phase 2 converts latches to global locks in order, waiting only
-/// on the first and release-retrying on later conflicts), MVCC version
-/// creation, row mutation and WAL flush.
+/// bodies. Every row access of either family goes through the same three
+/// row templates (read_row / write_row / insert_row): a real B+-tree lookup
+/// and buffer-cache / cache-fusion page accesses, latching the rows a
+/// transaction will write; only the YCSB range scan has a keyed body of its
+/// own. Each page's storage home comes from the one cluster::PartitionMap,
+/// by the row's key. The families share the begin, the outcome record and
+/// the commit: the paper's two-phase locking (phase 2 converts latches to
+/// global locks in order, waiting only on the first and release-retrying on
+/// later conflicts), MVCC version creation, row mutation and WAL flush.
 
 #include <array>
 #include <cstdint>
@@ -17,10 +20,12 @@
 #include <vector>
 
 #include "cluster/fusion.hpp"
+#include "cluster/partition.hpp"
 #include "core/config.hpp"
 #include "core/node_stats.hpp"
 #include "cpu/processor.hpp"
 #include "db/log_manager.hpp"
+#include "db/mvcc.hpp"
 #include "db/tpcc_schema.hpp"
 #include "sim/obs/stats.hpp"
 #include "sim/rng.hpp"
@@ -90,8 +95,6 @@ struct NodeEnv {
   core::NodeStats* stats = nullptr;
   core::PathLengths pl;
   std::uint64_t* global_clock = nullptr;  ///< cluster logical timestamp
-  /// Storage partition: which node's disks hold warehouse w's data.
-  std::function<int(std::int64_t)> storage_home_of_warehouse;
   sim::Rng* rng = nullptr;  ///< node-local stream (retry backoff)
   /// Mean delay before retrying phase 2 after a lock failure (scaled).
   sim::Duration lock_retry_delay = sim::milliseconds(0.5);
@@ -110,7 +113,8 @@ struct NodeEnv {
 /// request-handling threads.
 class TxnExecutor {
  public:
-  explicit TxnExecutor(NodeEnv env) : env_(std::move(env)) {}
+  explicit TxnExecutor(NodeEnv env)
+      : env_(std::move(env)), partition_(*env_.db, env_.num_nodes) {}
 
   /// Run one transaction to commit or abort; returns true on commit.
   sim::Task<bool> execute(const TxnInput& input, cpu::ThreadId tid);
@@ -144,7 +148,6 @@ class TxnExecutor {
     std::vector<PendingWrite> writes;
     std::vector<std::function<void()>> applies;  ///< run after locks granted
     sim::Bytes log_bytes = 0;
-    int rows = 0;  ///< rows a keyed op touched (its reply size)
     // Latency breakdown bookkeeping.
     sim::Time started = 0.0;
     sim::Time phase1_done = 0.0;
@@ -169,36 +172,26 @@ class TxnExecutor {
   sim::Task<void> delivery(const TxnInput& in, TxnCtx& ctx);
   sim::Task<void> stock_level(const TxnInput& in, TxnCtx& ctx);
 
-  // --- keyed-op bodies (phase 1, ycsb.cpp) ---------------------------------
-  sim::Task<void> read_key(TxnCtx& ctx, std::int64_t key);
-  sim::Task<void> write_key(TxnCtx& ctx, std::int64_t key);
-  sim::Task<void> insert_key(TxnCtx& ctx);
-  sim::Task<void> scan_keys(TxnCtx& ctx, std::int64_t lo, int len);
-  /// Contiguous-range owner of a key (insert-region keys carry their node).
-  [[nodiscard]] int key_home(std::int64_t key) const;
+  /// The keyed range scan (phase 1, ycsb.cpp); returns the rows it read.
+  sim::Task<int> scan_keys(TxnCtx& ctx, std::int64_t lo, int len);
 
   /// Phase 2 + apply + log + release. Returns false if the transaction had
   /// to abort (node dead or lock retry budget exhausted).
   sim::Task<bool> commit(TxnCtx& ctx);
   sim::Task<void> release_all(TxnCtx& ctx, std::size_t count);
 
-  // --- row access primitives (phase 1) -------------------------------------
+  // --- row access primitives (phase 1), for both families ----------------
   template <typename Row>
-  sim::Task<Row*> read_row(TxnCtx& ctx, db::Table<Row>& table, db::Key key,
-                           std::int64_t w);
+  sim::Task<Row*> read_row(TxnCtx& ctx, db::Table<Row>& table, db::Key key);
   template <typename Row>
   sim::Task<void> write_row(TxnCtx& ctx, db::Table<Row>& table, db::Key key,
-                            std::int64_t w, std::function<void(Row&)> apply);
+                            std::function<void(Row&)> apply);
   template <typename Row>
   sim::Task<void> insert_row(TxnCtx& ctx, db::Table<Row>& table,
-                             db::Key predicted_key, std::int64_t w,
-                             std::function<void()> apply);
-
-  [[nodiscard]] int storage_home(std::int64_t w) const {
-    return env_.storage_home_of_warehouse(w);
-  }
+                             db::Key predicted_key, std::function<void()> apply);
 
   NodeEnv env_;
+  cluster::PartitionMap partition_;
   std::uint64_t next_token_ = 1;
   /// Node-local insert sequence: minted server-side so the key stream is a
   /// pure function of this node's request order (race-free under sharding).

@@ -6,8 +6,10 @@
 /// db::TpccDatabase::ycsb table. This header holds the spec, the ops and
 /// their generator; the node's workload::TxnExecutor (tpcc_txn.hpp) runs
 /// each op as a transaction, through the same begin, commit and
-/// buffer-cache / cache-fusion / MVCC / WAL stack as TPC-C. Its keyed-op
-/// bodies live in ycsb.cpp.
+/// buffer-cache / cache-fusion / MVCC / WAL stack as TPC-C. Reads, updates,
+/// inserts and read-modify-writes are TPC-C's own row templates applied to
+/// the keyed table; only the range scan, which batches its CPU per page, is
+/// a keyed body of its own (ycsb.cpp).
 ///
 /// Spec-string grammar (ClusterConfig):
 ///   workload_spec = "tpcc" | "ycsb-a" .. "ycsb-f"
@@ -18,7 +20,8 @@
 /// except D.
 ///
 /// Keyspace contract: the loaded keyspace is dense [0, records), owned in
-/// contiguous ranges (owner = key*nodes/records). Runtime inserts mint keys
+/// contiguous ranges (cluster::PartitionMap::owner_of_ycsb_key: owner =
+/// key*nodes/records). Runtime inserts mint keys
 /// in the disjoint region above db::kYcsbInsertBase, clustered per minting
 /// node. Scans cover the dense region only — an arithmetic walk over
 /// [key, key+len) is exactly the leaf walk a B+-tree range scan performs on

@@ -23,7 +23,6 @@ struct Harness {
     std::unique_ptr<db::BufferCache> cache;
     std::unique_ptr<DirectoryService> directory;
     std::unique_ptr<db::LockManager> locks;
-    std::unique_ptr<db::VersionManager> versions;
     std::unique_ptr<storage::DiskArray> disk;
     std::unique_ptr<IpcService> ipc;
     std::unique_ptr<proto::IscsiTarget> target;
@@ -44,8 +43,6 @@ struct Harness {
       n.cache = std::make_unique<db::BufferCache>(64);
       n.directory = std::make_unique<DirectoryService>();
       n.locks = std::make_unique<db::LockManager>(engine);
-      n.versions = std::make_unique<db::VersionManager>(engine, sim::megabytes(1),
-                                                        *n.cache);
       n.disk = std::make_unique<storage::DiskArray>(engine, "d", 4,
                                                     storage::DiskParams{});
       n.ipc = std::make_unique<IpcService>(engine, i, n.stats, 0.0, free_cpu());
@@ -65,7 +62,6 @@ struct Harness {
       deps.cache = n.cache.get();
       deps.directory = n.directory.get();
       deps.locks = n.locks.get();
-      deps.versions = n.versions.get();
       deps.data_disk = n.disk.get();
       deps.iscsi = {n.initiators[0].get(), n.initiators[1].get()};
       deps.charge = free_cpu();

@@ -121,5 +121,91 @@ TEST(PartitionMap, PageNumbersSurviveWideKeys) {
   EXPECT_NE(pm.home_of_page(a), pm.home_of_page(b));
 }
 
+/// The storage home of a row is its warehouse's owner, on its data page and
+/// on its index leaf, in every warehouse-keyed table.
+TEST(PartitionMap, StorageHomeIsTheRowWarehouseOwnerInEveryTable) {
+  Fixture f(80);
+  PartitionMap pm(*f.db, 4);
+  const auto expect_home = [&](const auto& table, db::Key key, std::int64_t w) {
+    const int owner = pm.owner_of_warehouse(w);
+    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), owner)
+        << table.spec().name << " data page, w=" << w;
+    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), owner)
+        << table.spec().name << " index leaf, w=" << w;
+  };
+  for (std::int64_t w : {1, 20, 21, 41, 61, 80}) {
+    expect_home(f.db->warehouse, db::key_w(w), w);
+    expect_home(f.db->district, db::key_wd(w, 7), w);
+    expect_home(f.db->customer, db::key_wdc(w, 7, 37), w);
+    expect_home(f.db->order, db::key_wdo(w, 7, 12345), w);
+    expect_home(f.db->new_order, db::key_wdo(w, 7, 12345), w);
+    expect_home(f.db->order_line, db::key_wdool(w, 7, 12345, 9), w);
+    expect_home(f.db->stock, db::key_wi(w, 155), w);
+    expect_home(f.db->history, db::key_history(w, 4242), w);
+  }
+  // A new-order line supplied by a remote warehouse: the stock row lives
+  // with the supplier, not with the ordering terminal's warehouse.
+  const db::Key remote_stock = db::key_wi(61, 155);
+  EXPECT_EQ(pm.storage_home(f.db->stock.data_page_of_key(remote_stock), remote_stock),
+            3);
+  EXPECT_NE(pm.owner_of_warehouse(1), 3);
+}
+
+/// A page whose key range crosses a partition boundary: each row is stored
+/// by its own warehouse's node, while the page's directory home is the
+/// owner of the page's last key.
+TEST(PartitionMap, StorageHomeDiffersFromDirectoryHomeOnAStraddlingPage) {
+  Fixture f(80);
+  PartitionMap pm(*f.db, 4);
+  // The last order-line key of warehouse 20 (node 0); 151 rows per page do
+  // not divide the block, so its page runs into warehouse 21 (node 1).
+  const db::Key last_of_20 = db::key_wdool(20, 255, 0xffffffff, 15);
+  ASSERT_EQ(last_of_20 + 1, db::key_wdool(21, 0, 0, 0));
+  const db::PageId page = f.db->order_line.data_page_of_key(last_of_20);
+  ASSERT_EQ(page, f.db->order_line.data_page_of_key(last_of_20 + 1));
+  EXPECT_EQ(pm.storage_home(page, last_of_20), 0);
+  EXPECT_EQ(pm.storage_home(page, last_of_20 + 1), 1);
+  EXPECT_EQ(pm.home_of_page(page), 1);
+}
+
+TEST(PartitionMap, ItemStorageHomeIsThePageHash) {
+  Fixture f(80);
+  PartitionMap pm(*f.db, 4);
+  for (std::int64_t i = 1; i <= 200; i += 13) {
+    const db::Key key = db::key_i(i);
+    const db::PageId data = f.db->item.page_for(key, *f.db->item.find_id(key));
+    const db::PageId leaf = f.db->item.index_page_of(key);
+    EXPECT_EQ(pm.storage_home(data, key), page_hash_home(data, 4)) << "item " << i;
+    EXPECT_EQ(pm.storage_home(leaf, key), page_hash_home(leaf, 4)) << "item " << i;
+    EXPECT_EQ(pm.home_of_page(data), page_hash_home(data, 4)) << "item " << i;
+  }
+}
+
+TEST(PartitionMap, YcsbStorageHomeIsTheKeyOwner) {
+  Fixture f(80);
+  f.db->build_ycsb(1000);
+  PartitionMap pm(*f.db, 4);
+  const auto& table = *f.db->ycsb;
+  // Dense keys: node k owns [250k, 250k + 250).
+  for (std::int64_t k : {0, 249, 250, 499, 500, 750, 999}) {
+    const db::Key key = db::key_ycsb(k);
+    const int owner = pm.owner_of_ycsb_key(k);
+    EXPECT_EQ(owner, static_cast<int>(k / 250));
+    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), owner) << k;
+    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), owner) << k;
+  }
+  // Keys 248..255 share a data page across the node 0 / node 1 boundary.
+  const db::PageId straddle = table.data_page_of_key(db::key_ycsb(249));
+  EXPECT_EQ(pm.storage_home(straddle, db::key_ycsb(249)), 0);
+  EXPECT_EQ(pm.home_of_page(straddle), 1);
+  // Insert-region keys carry their minting node.
+  for (int node : {0, 2, 3}) {
+    const db::Key key = db::ycsb_insert_key(node, 17);
+    EXPECT_EQ(pm.owner_of_ycsb_key(static_cast<std::int64_t>(key)), node);
+    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), node);
+    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), node);
+  }
+}
+
 }  // namespace
 }  // namespace dclue::cluster

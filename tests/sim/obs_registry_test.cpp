@@ -5,11 +5,14 @@
 namespace dclue::obs {
 namespace {
 
-TEST(MetricsRegistry, OwnedMetricsAppearInSnapshotInRegistrationOrder) {
+TEST(MetricsRegistry, MetricsAppearInSnapshotInRegistrationOrder) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("a.count");
-  Gauge& g = reg.gauge("b.level");
-  Tally& t = reg.tally("c.latency");
+  Counter c;
+  Gauge g;
+  Tally t;
+  reg.bind("a.count", &c);
+  reg.bind("b.level", &g);
+  reg.bind("c.latency", &t);
   c.record(3);
   g.record(7.0);
   t.record(2.0);
@@ -30,7 +33,8 @@ TEST(MetricsRegistry, OwnedMetricsAppearInSnapshotInRegistrationOrder) {
 
 TEST(MetricsRegistry, SnapshotIsDetachedFromLiveCollectors) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("x");
+  Counter c;
+  reg.bind("x", &c);
   c.record(1);
   const Snapshot before = reg.snapshot(0.0);
   c.record(10);
@@ -40,7 +44,8 @@ TEST(MetricsRegistry, SnapshotIsDetachedFromLiveCollectors) {
 
 TEST(MetricsRegistry, FindReturnsNullForUnknownName) {
   MetricsRegistry reg;
-  reg.counter("known");
+  Counter known;
+  reg.bind("known", &known);
   const Snapshot snap = reg.snapshot(0.0);
   EXPECT_NE(snap.find("known"), nullptr);
   EXPECT_EQ(snap.find("unknown"), nullptr);
@@ -56,10 +61,14 @@ TEST(MetricsRegistry, BoundMetricsReadTheSubsystemCollector) {
 
 TEST(MetricsRegistry, ResetWindowClearsResettableKinds) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("c");
-  Accum& a = reg.accum("a");
-  Tally& t = reg.tally("t");
-  Histogram& h = reg.histogram("h", 0.0, 10.0, 10);
+  Counter c;
+  Accum a;
+  Tally t;
+  Histogram h(0.0, 10.0, 10);
+  reg.bind("c", &c);
+  reg.bind("a", &a);
+  reg.bind("t", &t);
+  reg.bind("h", &h);
   c.record(4);
   a.record(2.5);
   t.record(1.0);
@@ -76,7 +85,8 @@ TEST(MetricsRegistry, ResetWindowClearsResettableKinds) {
 
 TEST(MetricsRegistry, ResetWindowKeepsGaugeLevels) {
   MetricsRegistry reg;
-  Gauge& g = reg.gauge("g");
+  Gauge g;
+  reg.bind("g", &g);
   double sampled = 42.0;
   reg.gauge_fn("g_fn", [&sampled] { return sampled; });
   g.record(9.0);
@@ -90,7 +100,8 @@ TEST(MetricsRegistry, ResetWindowKeepsGaugeLevels) {
 
 TEST(MetricsRegistry, ResetWindowRestartsTimeWeightedKeepingLevel) {
   MetricsRegistry reg;
-  TimeWeightedAvg& tw = reg.time_weighted("tw");
+  TimeWeightedAvg tw;
+  reg.bind("tw", &tw);
   tw.record(0.0, 4.0);  // level 4 from t=0
 
   reg.reset_window(10.0);  // warmup ends; level stays 4
@@ -120,18 +131,10 @@ TEST(MetricsRegistry, OnResetHooksRunBeforeEntryResets) {
   EXPECT_EQ(internal.count(), 0u);
 }
 
-TEST(MetricsRegistry, OwnedHandlesStayStableAcrossGrowth) {
-  MetricsRegistry reg;
-  Counter& first = reg.counter("first");
-  // Force pool growth; a vector-backed pool would invalidate `first`.
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
-  first.record(1);
-  EXPECT_DOUBLE_EQ(reg.snapshot(0.0).find("first")->value, 1.0);
-}
-
 TEST(MetricsRegistry, HistogramSnapshotCarriesQuantiles) {
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", 0.0, 100.0, 100);
+  Histogram h(0.0, 100.0, 100);
+  reg.bind("lat", &h);
   for (int i = 0; i < 100; ++i) h.record(i + 0.5);
   const Snapshot snap = reg.snapshot(0.0);
   const MetricValue* mv = snap.find("lat");
@@ -144,8 +147,10 @@ TEST(MetricsRegistry, HistogramSnapshotCarriesQuantiles) {
 
 TEST(MetricsRegistry, SnapshotKeepsDistributionCopiesOutOfJson) {
   MetricsRegistry reg;
-  Tally& t = reg.tally("t");
-  Histogram& h = reg.histogram("h", 0.0, 10.0, 10);
+  Tally t;
+  Histogram h(0.0, 10.0, 10);
+  reg.bind("t", &t);
+  reg.bind("h", &h);
   t.record(1.0);
   t.record(5.0);
   h.record(2.5);
@@ -173,7 +178,8 @@ TEST(MetricsRegistry, SnapshotKeepsDistributionCopiesOutOfJson) {
 
 TEST(MetricsRegistry, SnapshotJsonIsWellFormedPerMetric) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("json.count");
+  Counter c;
+  reg.bind("json.count", &c);
   c.record(2);
   std::string out;
   reg.snapshot(0.0).append_json(out, 0);

@@ -63,7 +63,6 @@ struct MiniNode {
     env.stats = stats;
     env.pl = core::PathLengths{};
     env.global_clock = &clock;
-    env.storage_home_of_warehouse = [](std::int64_t) { return 0; };
     env.rng = &rng;
     env.lock_retry_delay = sim::milliseconds(0.3) * cfg.scale;
     env.alive = &alive;
