@@ -9,8 +9,8 @@ void IpcService::attach_peer(int peer, std::shared_ptr<proto::MsgChannel> channe
   reader_loop(peer, std::move(channel));
 }
 
-void IpcService::send_control(int dst, IpcType type, std::shared_ptr<void> body,
-                              std::uint64_t req_id) {
+void IpcService::send(int dst, IpcType type, sim::Bytes bytes,
+                      std::shared_ptr<void> body, std::uint64_t req_id) {
   auto it = peers_.find(dst);
   if (it == peers_.end()) {
     // Peer channel gone (reset under a long outage). Dropping the send is the
@@ -19,28 +19,13 @@ void IpcService::send_control(int dst, IpcType type, std::shared_ptr<void> body,
     ++dropped_sends_;
     return;
   }
-  stats_.ipc_control_sent.record();
-  stats_.ipc_control_bytes.record(kControlMsgBytes);
-  sent_by_type_[static_cast<std::size_t>(type)].record();
-  DCLUE_TRACE_INSTANT("ipc", ipc_type_name(type), engine_.now(),
-                      static_cast<std::uint32_t>(node_id_));
-  proto::Message msg;
-  msg.type = type;
-  msg.bytes = kControlMsgBytes;
-  msg.payload = std::make_shared<Envelope>(
-      Envelope{req_id, node_id_, std::move(body), scn_ != nullptr ? *scn_ : 0});
-  it->value->send(std::move(msg));
-}
-
-void IpcService::send_data(int dst, IpcType type, sim::Bytes bytes,
-                           std::shared_ptr<void> body, std::uint64_t req_id) {
-  auto it = peers_.find(dst);
-  if (it == peers_.end()) {
-    ++dropped_sends_;
-    return;
+  if (type == kBlockTransfer) {
+    stats_.ipc_data_sent.record();
+    stats_.ipc_data_bytes.record(static_cast<std::uint64_t>(bytes));
+  } else {
+    stats_.ipc_control_sent.record();
+    stats_.ipc_control_bytes.record(static_cast<std::uint64_t>(bytes));
   }
-  stats_.ipc_data_sent.record();
-  stats_.ipc_data_bytes.record(static_cast<std::uint64_t>(bytes));
   sent_by_type_[static_cast<std::size_t>(type)].record();
   DCLUE_TRACE_INSTANT("ipc", ipc_type_name(type), engine_.now(),
                       static_cast<std::uint32_t>(node_id_));

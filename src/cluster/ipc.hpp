@@ -113,11 +113,15 @@ class IpcService {
 
   /// One-way control message (~250 B).
   void send_control(int dst, IpcType type, std::shared_ptr<void> body,
-                    std::uint64_t req_id = 0);
+                    std::uint64_t req_id = 0) {
+    send(dst, type, kControlMsgBytes, std::move(body), req_id);
+  }
 
-  /// Data message (block transfer, \p bytes >= 8 KB).
-  void send_data(int dst, IpcType type, sim::Bytes bytes,
-                 std::shared_ptr<void> body, std::uint64_t req_id);
+  /// One-way message of \p bytes. Only kBlockTransfer carries a block, so
+  /// only it counts as a data message; every other type counts as control,
+  /// whatever its size.
+  void send(int dst, IpcType type, sim::Bytes bytes, std::shared_ptr<void> body,
+            std::uint64_t req_id);
 
   /// Control RPC: send and await the correlated reply body.
   sim::Task<std::shared_ptr<void>> rpc(int dst, IpcType type,

@@ -5,30 +5,30 @@
 /// blocks of warehouses per node (§2.2), and the YCSB keyspace in equal
 /// contiguous key ranges. Every node-placement question the model asks is
 /// answered here:
-///   - owner_of_warehouse / owner_of_ycsb_key: where a client routes a
-///     request with probability alpha (workload/client.hpp);
-///   - storage_home(page, key): the node whose disks hold a row, taken from
-///     the row's own key (workload::TxnExecutor's row accesses);
-///   - home_of_page(page): the directory / lock master of a page, taken from
-///     the last key the page can hold (cluster::FusionLayer::dir_home, and
-///     the cache prewarm). As in RAC's resource affinity it is co-located
-///     with the partition, so a perfectly affine workload (alpha = 1.0)
-///     generates almost no IPC.
+///   - owner_of_warehouse / owner_of_ycsb_key and route: where a client
+///     sends a request (the owner with probability alpha;
+///     workload/client.hpp);
+///   - home_of_page(page): the one home of a page, taken from the last key
+///     the page can hold. It masters the page's directory entry and its
+///     sub-page locks, and its disks hold the block a miss reads (§2.1:
+///     "from the disk (local or remote)"). cluster::FusionLayer asks it
+///     for every page it touches, and the cache prewarm places pages by it.
+///     As in RAC's resource affinity it is co-located with the partition,
+///     so a perfectly affine workload (alpha = 1.0) generates almost no IPC.
 /// Pages with no partition identity (the item table) are hash-homed across
-/// the cluster for both purposes.
+/// the cluster.
 ///
 /// Every warehouse-keyed table is key-clustered (see db::TableSpec), so both
 /// data pages (page_no = key / rows_per_page) and index leaf pages
 /// (page_no = key / keys_per_leaf) preserve the warehouse bits of the key,
-/// which this map reconstructs. The two homes differ only on a page that
-/// straddles a partition boundary: each row there is stored by its own
-/// warehouse's node, while the page's directory entry lives with the higher
-/// warehouse, whose rows populate it.
+/// which this map reconstructs. A page is one disk block, so it has one
+/// home even where its key range straddles a partition boundary.
 
 #include <algorithm>
 #include <cstdint>
 
 #include "db/tpcc_schema.hpp"
+#include "sim/rng.hpp"
 
 namespace dclue::cluster {
 
@@ -67,30 +67,33 @@ class PartitionMap {
     return static_cast<int>(k * nodes_ / records);
   }
 
-  /// Storage home of the row keyed \p key on \p page (its data page or
-  /// index leaf): the node whose disks hold it.
-  [[nodiscard]] int storage_home(db::PageId page, db::Key key) const {
-    const db::TableId table = db::table_of_page(page);
-    if (table == db::TableId::kItem) return page_hash_home(page, nodes_);
-    if (table == db::TableId::kYcsb) {
-      return owner_of_ycsb_key(static_cast<std::int64_t>(key));
-    }
-    return owner_of_warehouse(static_cast<std::int64_t>(key >> key_shift(table)));
+  /// Affinity routing (§2.3): \p owner with probability \p affinity, else a
+  /// uniformly random node. Draws one chance(), and one uniform_int() only
+  /// when the coin misses.
+  [[nodiscard]] int route(sim::Rng& rng, double affinity, int owner) const {
+    return rng.chance(affinity) ? owner
+                                : static_cast<int>(rng.uniform_int(0, nodes_ - 1));
   }
 
-  /// Directory / lock master for a page: the storage home of the LAST key
-  /// the page can hold. Key runs start at the bottom of each warehouse's
-  /// block, so when a page straddles a block boundary its populated rows
-  /// belong to the *higher* warehouse, and the end-of-page key recovers
-  /// exactly that one.
+  /// The one home of a page: the owner of the LAST key the page can hold.
+  /// Key runs start at the bottom of each warehouse's block (and of each
+  /// node's YCSB range), so when a page straddles a block boundary its
+  /// populated rows belong to the *higher* warehouse, and the end-of-page
+  /// key recovers exactly that one.
   [[nodiscard]] int home_of_page(db::PageId page) const {
     const db::TableId table = db::table_of_page(page);
+    if (table == db::TableId::kItem) return page_hash_home(page, nodes_);
     const std::int64_t keys_per_page =
         db::is_index_page(page) ? 32 : rows_per_page(table);  // Table::kIndexKeysPerLeaf
     const auto page_no = static_cast<std::int64_t>(db::page_number(page));
-    return storage_home(page, static_cast<db::Key>((page_no + 1) * keys_per_page - 1));
+    const auto last = static_cast<db::Key>((page_no + 1) * keys_per_page - 1);
+    if (table == db::TableId::kYcsb) {
+      return owner_of_ycsb_key(static_cast<std::int64_t>(last));
+    }
+    return owner_of_warehouse(static_cast<std::int64_t>(last >> key_shift(table)));
   }
 
+ private:
   /// Bit position of the warehouse id within each table's composite key.
   [[nodiscard]] static int key_shift(db::TableId table) {
     switch (table) {
@@ -114,7 +117,6 @@ class PartitionMap {
     }
   }
 
- private:
   [[nodiscard]] static std::int64_t rows_per_page(db::TableId table) {
     switch (table) {
       case db::TableId::kWarehouse:

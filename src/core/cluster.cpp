@@ -160,12 +160,8 @@ void Cluster::build_nodes() {
   }
 
   if (cfg_.central_logging && cfg_.nodes > 1) {
-    // Fig 9: node 0 performs all logging; other nodes ship flushes over IPC.
-    Node* log_node = nodes_[0].get();
-    log_node->fusion().set_log_writer([log_node](sim::Bytes bytes) -> sim::Task<void> {
-      log_node->log_manager().append(bytes);
-      co_await log_node->log_manager().flush();
-    });
+    // Fig 9: node 0 performs all logging; other nodes ship flushes over IPC
+    // to its fusion layer, which writes them to its log.
     for (int i = 1; i < cfg_.nodes; ++i) {
       Node* node = nodes_[static_cast<std::size_t>(i)].get();
       node->log_manager().set_remote_flush(

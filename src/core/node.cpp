@@ -92,12 +92,12 @@ Node::Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
   cluster::FusionDeps deps;
   deps.engine = &engine;
   deps.node_id = id;
-  deps.num_nodes = cfg.nodes;
   deps.ipc = ipc_.get();
   deps.cache = cache_.get();
   deps.directory = directory_.get();
   deps.locks = locks_.get();
   deps.data_disk = data_disk_.get();
+  deps.log = log_.get();
   deps.iscsi.resize(static_cast<std::size_t>(cfg.nodes));
   for (int peer = 0; peer < cfg.nodes; ++peer) {
     deps.iscsi[static_cast<std::size_t>(peer)] =

@@ -73,8 +73,8 @@ sim::Task<RecoveryReport> run_recovery(Cluster& cluster, int failed_node,
       const sim::Bytes chunk = std::min<sim::Bytes>(remaining, sim::kilobytes(64));
       remaining -= chunk;
       const std::uint64_t id = coord.ipc().new_req_id();
-      cluster.node(source).ipc().send_data(coordinator, cluster::kBlockTransfer,
-                                           chunk, nullptr, id);
+      cluster.node(source).ipc().send(coordinator, cluster::kBlockTransfer, chunk,
+                                      nullptr, id);
       co_await coord.ipc().await_reply(id);
     }
   };

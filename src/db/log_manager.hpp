@@ -32,10 +32,7 @@ class LogManager {
 
   /// Append a record to the in-memory log buffer (cheap; durability comes
   /// from flush at commit).
-  void append(sim::Bytes bytes) {
-    pending_ += bytes;
-    appended_ += bytes;
-  }
+  void append(sim::Bytes bytes) { appended_ += bytes; }
 
   /// Make everything appended so far durable. Concurrent callers coalesce
   /// into the next group write.
@@ -54,7 +51,6 @@ class LogManager {
       const sim::Bytes batch = appended_ - durable_;
       co_await write_out(batch);
       durable_ += batch;
-      pending_ = appended_ - durable_;
       ++flushes_;
       // Release everyone whose mark is now durable.
       for (auto it = waiters_.begin(); it != waiters_.end();) {
@@ -101,7 +97,6 @@ class LogManager {
   RemoteFlush remote_;
   sim::Bytes appended_ = 0;
   sim::Bytes durable_ = 0;
-  sim::Bytes pending_ = 0;
   bool flushing_ = false;
   std::int64_t next_block_ = 0;
   std::uint64_t flushes_ = 0;

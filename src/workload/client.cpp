@@ -44,9 +44,8 @@ sim::DetachedTask YcsbFleet::arrival_loop() {
     co_await sim::delay_for(engine_, gap);
     PendingOp p;
     p.op = gen_.next(engine_.now());
-    p.server = rng.chance(params_.affinity)
-                   ? partition_.owner_of_ycsb_key(p.op.key)
-                   : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
+    p.server = partition_.route(rng, params_.affinity,
+                                partition_.owner_of_ycsb_key(p.op.key));
     p.arrived = engine_.now();
     if (admission_.offer(p) == Admit::kNow) one_op(p);
   }
@@ -104,11 +103,8 @@ sim::DetachedTask TerminalFleet::open_loop_arrivals() {
         static_cast<std::int64_t>((params_.first_terminal_index + next_arrival_++) %
                                   static_cast<std::uint64_t>(partition_.warehouses())) +
         1;
-    const int server =
-        rng.chance(params_.affinity)
-            ? partition_.owner_of_warehouse(w)
-            : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
-    one_business_txn(w, server);
+    one_business_txn(
+        w, partition_.route(rng, params_.affinity, partition_.owner_of_warehouse(w)));
   }
 }
 
@@ -135,12 +131,7 @@ sim::DetachedTask TerminalFleet::terminal_loop(int t) {
   if (params_.start_gate) co_await params_.start_gate->wait();
   for (;;) {
     co_await sim::delay_for(engine_, rng.exponential(params_.think_time));
-    // Affinity routing: right server with probability alpha, random otherwise.
-    const int server =
-        rng.chance(params_.affinity)
-            ? home
-            : static_cast<int>(rng.uniform_int(0, partition_.nodes() - 1));
-    co_await business_txn(gen, w, server);
+    co_await business_txn(gen, w, partition_.route(rng, params_.affinity, home));
   }
 }
 

@@ -95,12 +95,11 @@ sim::Task<Row*> TxnExecutor::read_row(TxnCtx& ctx, db::Table<Row>& table,
   const db::PageId index_page = table.index_page_of(key);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
-  co_await env_.fusion->access_page(index_page, false,
-                                    partition_.storage_home(index_page, key));
+  co_await env_.fusion->access_page(index_page, false);
   auto id = table.find_id(key);
   if (!id) co_return nullptr;
   const db::PageId page = table.page_for(key, *id);
-  co_await env_.fusion->access_page(page, false, partition_.storage_home(page, key));
+  co_await env_.fusion->access_page(page, false);
   const int hops =
       env_.versions->chain_hops(page, table.subpage_for(key, *id), ctx.snapshot);
   co_await env_.proc->compute(
@@ -116,18 +115,17 @@ sim::Task<void> TxnExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
   const db::PageId index_page = table.index_page_of(key);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
-  co_await env_.fusion->access_page(index_page, false,
-                                    partition_.storage_home(index_page, key));
+  co_await env_.fusion->access_page(index_page, false);
   auto id = table.find_id(key);
   if (!id) co_return;  // row vanished (e.g. concurrent delivery)
   const db::PageId page = table.page_for(key, *id);
-  co_await env_.fusion->access_page(page, true, partition_.storage_home(page, key));
+  co_await env_.fusion->access_page(page, true);
   const int subpage = table.subpage_for(key, *id);
   co_await env_.proc->compute(env_.pl.row_update, cpu::JobClass::kApplication,
                               ctx.tid);
   // Phase 1: intention latch only; the global lock conversion happens at
   // commit, in sequence order.
-  ctx.locks.push_back({db::lock_name(page, subpage), env_.fusion->dir_home(page)});
+  ctx.locks.push_back({page, subpage});
   ctx.writes.push_back({page, subpage, table.spec().subpage_bytes});
   ctx.log_bytes += table.spec().row_bytes + 64;  // record header
   ctx.applies.push_back([&table, id, apply = std::move(apply)] {
@@ -142,14 +140,13 @@ sim::Task<void> TxnExecutor::insert_row(TxnCtx& ctx, db::Table<Row>& table,
   const db::PageId page = table.spec().clustered
                               ? table.data_page_of_key(predicted_key)
                               : table.append_page();
-  const int home = partition_.storage_home(page, predicted_key);
   co_await env_.proc->compute(env_.pl.index_probe, cpu::JobClass::kApplication,
                               ctx.tid);
   // Both the index leaf and the data page may be freshly created by this
   // insert (leaf split / extent allocation): nothing to read from disk.
-  co_await env_.fusion->access_page(table.index_page_of(predicted_key), false, home,
+  co_await env_.fusion->access_page(table.index_page_of(predicted_key), false,
                                     /*allocate=*/true);
-  co_await env_.fusion->access_page(page, true, home, /*allocate=*/true);
+  co_await env_.fusion->access_page(page, true, /*allocate=*/true);
   co_await env_.proc->compute(env_.pl.row_insert, cpu::JobClass::kApplication,
                               ctx.tid);
   // Inserts latch the append page only for the duration of the operation
@@ -290,8 +287,7 @@ sim::Task<void> TxnExecutor::delivery(const TxnInput& in, TxnCtx& ctx) {
                                 ctx.tid);
     const db::Key no_lo = key_wdo(in.w, d, 0);
     const db::PageId no_index = db.new_order.index_page_of(no_lo);
-    co_await env_.fusion->access_page(no_index, false,
-                                      partition_.storage_home(no_index, no_lo));
+    co_await env_.fusion->access_page(no_index, false);
     // Atomic range probe: a raw lower_bound iterator would walk B-tree
     // leaves while another shard's new-order insert splits them (the tree
     // structure is shared across warehouses even though rows partition).
@@ -491,7 +487,7 @@ sim::Task<bool> TxnExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {
 
 sim::Task<void> TxnExecutor::release_all(TxnCtx& ctx, std::size_t count) {
   for (std::size_t i = 0; i < count && i < ctx.locks.size(); ++i) {
-    co_await env_.fusion->lock_release(ctx.locks[i].name, ctx.locks[i].home,
+    co_await env_.fusion->lock_release(ctx.locks[i].page, ctx.locks[i].subpage,
                                        ctx.token);
   }
 }
@@ -518,15 +514,16 @@ sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
     bool all_granted = true;
     for (std::size_t i = 0; i < ctx.locks.size(); ++i) {
       env_.stats->lock_acquisitions.record();
-      bool granted = co_await env_.fusion->lock_try(ctx.locks[i].name,
-                                                    ctx.locks[i].home, ctx.token);
+      const LockRef& ref = ctx.locks[i];
+      bool granted = co_await env_.fusion->lock(ref.page, ref.subpage, ctx.token,
+                                                /*wait=*/false);
       if (!granted && i == 0) {
         // Wait on the first lock in the sequence (holding nothing: safe).
         env_.stats->lock_waits.record();
         const sim::Time t0 = env_.engine->now();
         env_.stats->in_lock_wait.record_delta(1.0);
-        granted = co_await env_.fusion->lock_wait(ctx.locks[i].name,
-                                                  ctx.locks[i].home, ctx.token);
+        granted = co_await env_.fusion->lock(ref.page, ref.subpage, ctx.token,
+                                             /*wait=*/true);
         env_.stats->in_lock_wait.record_delta(-1.0);
         env_.stats->lock_wait_time.record(env_.engine->now() - t0);
         DCLUE_TRACE_SPAN("lock", "lock_wait", t0, env_.engine->now(),

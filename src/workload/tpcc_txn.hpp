@@ -8,8 +8,9 @@
 /// row templates (read_row / write_row / insert_row): a real B+-tree lookup
 /// and buffer-cache / cache-fusion page accesses, latching the rows a
 /// transaction will write; only the YCSB range scan has a keyed body of its
-/// own. Each page's storage home comes from the one cluster::PartitionMap,
-/// by the row's key. The families share the begin, the outcome record and
+/// own. The executor asks no placement question: it names pages and
+/// sub-pages, and cache fusion (cluster::FusionLayer) finds each one's
+/// home. The families share the begin, the outcome record and
 /// the commit: the paper's two-phase locking (phase 2 converts latches to
 /// global locks in order, waiting only on the first and release-retrying on
 /// later conflicts), MVCC version creation, row mutation and WAL flush.
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "cluster/fusion.hpp"
-#include "cluster/partition.hpp"
 #include "core/config.hpp"
 #include "core/node_stats.hpp"
 #include "cpu/processor.hpp"
@@ -113,8 +113,7 @@ struct NodeEnv {
 /// request-handling threads.
 class TxnExecutor {
  public:
-  explicit TxnExecutor(NodeEnv env)
-      : env_(std::move(env)), partition_(*env_.db, env_.num_nodes) {}
+  explicit TxnExecutor(NodeEnv env) : env_(std::move(env)) {}
 
   /// Run one transaction to commit or abort; returns true on commit.
   sim::Task<bool> execute(const TxnInput& input, cpu::ThreadId tid);
@@ -135,9 +134,11 @@ class TxnExecutor {
     int subpage;
     sim::Bytes bytes;
   };
+  /// A global lock by what it covers; cache fusion names it and finds its
+  /// home.
   struct LockRef {
-    db::LockName name;
-    int home;
+    db::PageId page;
+    int subpage;
     bool operator==(const LockRef&) const = default;
   };
   struct TxnCtx {
@@ -191,7 +192,6 @@ class TxnExecutor {
                              db::Key predicted_key, std::function<void()> apply);
 
   NodeEnv env_;
-  cluster::PartitionMap partition_;
   std::uint64_t next_token_ = 1;
   /// Node-local insert sequence: minted server-side so the key stream is a
   /// pure function of this node's request order (race-free under sharding).

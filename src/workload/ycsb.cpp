@@ -115,7 +115,7 @@ sim::Task<int> TxnExecutor::scan_keys(TxnCtx& ctx, std::int64_t lo, int len) {
     const db::PageId ip = table.index_page_of(k);
     if (ip != cur_index) {
       cur_index = ip;
-      co_await env_.fusion->access_page(ip, false, partition_.storage_home(ip, k));
+      co_await env_.fusion->access_page(ip, false);
     }
     const db::PageId dp = table.data_page_of_key(k);
     if (dp != cur_data) {
@@ -125,7 +125,7 @@ sim::Task<int> TxnExecutor::scan_keys(TxnCtx& ctx, std::int64_t lo, int len) {
         batch_path = 0.0;
       }
       cur_data = dp;
-      co_await env_.fusion->access_page(dp, false, partition_.storage_home(dp, k));
+      co_await env_.fusion->access_page(dp, false);
     }
     const int hops =
         env_.versions->chain_hops(dp, table.subpage_of_key(k), ctx.snapshot);

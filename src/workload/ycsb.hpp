@@ -21,7 +21,8 @@
 ///
 /// Keyspace contract: the loaded keyspace is dense [0, records), owned in
 /// contiguous ranges (cluster::PartitionMap::owner_of_ycsb_key: owner =
-/// key*nodes/records). Runtime inserts mint keys
+/// key*nodes/records); a page that straddles two ranges is homed with the
+/// higher one (PartitionMap::home_of_page). Runtime inserts mint keys
 /// in the disjoint region above db::kYcsbInsertBase, clustered per minting
 /// node. Scans cover the dense region only — an arithmetic walk over
 /// [key, key+len) is exactly the leaf walk a B+-tree range scan performs on

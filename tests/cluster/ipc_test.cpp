@@ -86,12 +86,27 @@ TEST(IpcService, DataMessageCountsSeparately) {
   Harness h;
   h.b->set_handler(kDirEvict, [](Envelope) {});
   auto body = std::make_shared<EchoBody>(EchoBody{1});
-  h.a->send_data(1, kBlockTransfer, kBlockBaseBytes + 1024, body, 99);
+  h.a->send(1, kBlockTransfer, kBlockBaseBytes + 1024, body, 99);
   h.engine.run();
   EXPECT_EQ(h.stats_a.ipc_data_sent.count(), 1u);
   EXPECT_EQ(h.stats_a.ipc_control_sent.count(), 0u);
   EXPECT_GE(h.stats_a.ipc_data_bytes.count(),
             static_cast<std::uint64_t>(kBlockBaseBytes));
+}
+
+/// The message type, not its size, picks the counter pair: recovery ships
+/// its log in kBlockTransfer chunks, and the last one can be smaller than a
+/// control message.
+TEST(IpcService, ShortBlockTransferStillCountsAsData) {
+  Harness h;
+  auto body = std::make_shared<EchoBody>(EchoBody{1});
+  h.a->send(1, kBlockTransfer, kControlMsgBytes - 50, body, 99);
+  h.engine.run();
+  EXPECT_EQ(h.stats_a.ipc_data_sent.count(), 1u);
+  EXPECT_EQ(h.stats_a.ipc_data_bytes.count(),
+            static_cast<std::uint64_t>(kControlMsgBytes - 50));
+  EXPECT_EQ(h.stats_a.ipc_control_sent.count(), 0u);
+  EXPECT_EQ(h.stats_a.ipc_control_bytes.count(), 0u);
 }
 
 TEST(IpcService, EarlyReplyBeforeAwaitIsNotLost) {
@@ -101,7 +116,7 @@ TEST(IpcService, EarlyReplyBeforeAwaitIsNotLost) {
   const std::uint64_t req = h.a->new_req_id();
   h.b->set_handler(kDirEvict, [&h, req](Envelope) {
     auto body = std::make_shared<EchoBody>(EchoBody{5});
-    h.b->send_data(0, kBlockTransfer, kBlockBaseBytes, body, req);
+    h.b->send(0, kBlockTransfer, kBlockBaseBytes, body, req);
   });
   int got = 0;
   sim::spawn([](Harness& h, std::uint64_t req, int& out) -> sim::Task<void> {

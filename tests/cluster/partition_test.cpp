@@ -121,40 +121,56 @@ TEST(PartitionMap, PageNumbersSurviveWideKeys) {
   EXPECT_NE(pm.home_of_page(a), pm.home_of_page(b));
 }
 
-/// The storage home of a row is its warehouse's owner, on its data page and
-/// on its index leaf, in every warehouse-keyed table.
-TEST(PartitionMap, StorageHomeIsTheRowWarehouseOwnerInEveryTable) {
+/// A page's one home is the owner of the last key the page can hold, on
+/// data pages and index leaves alike, in every warehouse-keyed table. The
+/// warehouse of a key is read off the table's key constructor: the highest
+/// w whose first key is not above it.
+TEST(PartitionMap, PageHomeIsTheLastKeyOwnerInEveryTable) {
   Fixture f(80);
   PartitionMap pm(*f.db, 4);
-  const auto expect_home = [&](const auto& table, db::Key key, std::int64_t w) {
-    const int owner = pm.owner_of_warehouse(w);
-    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), owner)
-        << table.spec().name << " data page, w=" << w;
-    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), owner)
-        << table.spec().name << " index leaf, w=" << w;
+  const auto expect_home = [&](const auto& table, db::Key key, auto first_key_of) {
+    const auto owner_of_key = [&](db::Key k) {
+      std::int64_t w = 1;
+      while (first_key_of(w + 1) <= k) ++w;
+      return pm.owner_of_warehouse(w);
+    };
+    const auto rows = static_cast<db::Key>(table.rows_per_page());
+    const auto keys_per_leaf = static_cast<db::Key>(table.kIndexKeysPerLeaf);
+    EXPECT_EQ(pm.home_of_page(table.data_page_of_key(key)),
+              owner_of_key((key / rows + 1) * rows - 1))
+        << table.spec().name << " data page, key " << key;
+    EXPECT_EQ(pm.home_of_page(table.index_page_of(key)),
+              owner_of_key((key / keys_per_leaf + 1) * keys_per_leaf - 1))
+        << table.spec().name << " index leaf, key " << key;
   };
   for (std::int64_t w : {1, 20, 21, 41, 61, 80}) {
-    expect_home(f.db->warehouse, db::key_w(w), w);
-    expect_home(f.db->district, db::key_wd(w, 7), w);
-    expect_home(f.db->customer, db::key_wdc(w, 7, 37), w);
-    expect_home(f.db->order, db::key_wdo(w, 7, 12345), w);
-    expect_home(f.db->new_order, db::key_wdo(w, 7, 12345), w);
-    expect_home(f.db->order_line, db::key_wdool(w, 7, 12345, 9), w);
-    expect_home(f.db->stock, db::key_wi(w, 155), w);
-    expect_home(f.db->history, db::key_history(w, 4242), w);
+    expect_home(f.db->warehouse, db::key_w(w),
+                [](std::int64_t x) { return db::key_w(x); });
+    expect_home(f.db->district, db::key_wd(w, 7),
+                [](std::int64_t x) { return db::key_wd(x, 0); });
+    expect_home(f.db->customer, db::key_wdc(w, 7, 37),
+                [](std::int64_t x) { return db::key_wdc(x, 0, 0); });
+    expect_home(f.db->order, db::key_wdo(w, 7, 12345),
+                [](std::int64_t x) { return db::key_wdo(x, 0, 0); });
+    expect_home(f.db->new_order, db::key_wdo(w, 7, 12345),
+                [](std::int64_t x) { return db::key_wdo(x, 0, 0); });
+    expect_home(f.db->order_line, db::key_wdool(w, 7, 12345, 9),
+                [](std::int64_t x) { return db::key_wdool(x, 0, 0, 0); });
+    expect_home(f.db->stock, db::key_wi(w, 155),
+                [](std::int64_t x) { return db::key_wi(x, 0); });
+    expect_home(f.db->history, db::key_history(w, 4242),
+                [](std::int64_t x) { return db::key_history(x, 0); });
   }
-  // A new-order line supplied by a remote warehouse: the stock row lives
-  // with the supplier, not with the ordering terminal's warehouse.
-  const db::Key remote_stock = db::key_wi(61, 155);
-  EXPECT_EQ(pm.storage_home(f.db->stock.data_page_of_key(remote_stock), remote_stock),
-            3);
+  // A new-order line supplied by a remote warehouse: the stock row's page
+  // lives with the supplier, not with the ordering terminal's warehouse.
+  EXPECT_EQ(pm.home_of_page(f.db->stock.data_page_of_key(db::key_wi(61, 155))), 3);
   EXPECT_NE(pm.owner_of_warehouse(1), 3);
 }
 
-/// A page whose key range crosses a partition boundary: each row is stored
-/// by its own warehouse's node, while the page's directory home is the
-/// owner of the page's last key.
-TEST(PartitionMap, StorageHomeDiffersFromDirectoryHomeOnAStraddlingPage) {
+/// A page is one disk block, so a page whose key range crosses a partition
+/// boundary still has one home: the owner of its last key, for every row
+/// on it.
+TEST(PartitionMap, StraddlingPageHomeIsItsLastKeyOwner) {
   Fixture f(80);
   PartitionMap pm(*f.db, 4);
   // The last order-line key of warehouse 20 (node 0); 151 rows per page do
@@ -163,9 +179,15 @@ TEST(PartitionMap, StorageHomeDiffersFromDirectoryHomeOnAStraddlingPage) {
   ASSERT_EQ(last_of_20 + 1, db::key_wdool(21, 0, 0, 0));
   const db::PageId page = f.db->order_line.data_page_of_key(last_of_20);
   ASSERT_EQ(page, f.db->order_line.data_page_of_key(last_of_20 + 1));
-  EXPECT_EQ(pm.storage_home(page, last_of_20), 0);
-  EXPECT_EQ(pm.storage_home(page, last_of_20 + 1), 1);
+  EXPECT_EQ(pm.owner_of_warehouse(20), 0);
   EXPECT_EQ(pm.home_of_page(page), 1);
+  // The warehouse table's first index leaf holds warehouses 0-31, owned by
+  // nodes 0 and 1 at 80 warehouses on 4 nodes.
+  const db::PageId leaf = f.db->warehouse.index_page_of(db::key_w(1));
+  ASSERT_EQ(leaf, f.db->warehouse.index_page_of(db::key_w(31)));
+  EXPECT_EQ(pm.owner_of_warehouse(1), 0);
+  EXPECT_EQ(pm.owner_of_warehouse(31), 1);
+  EXPECT_EQ(pm.home_of_page(leaf), 1);
 }
 
 TEST(PartitionMap, ItemStorageHomeIsThePageHash) {
@@ -175,36 +197,61 @@ TEST(PartitionMap, ItemStorageHomeIsThePageHash) {
     const db::Key key = db::key_i(i);
     const db::PageId data = f.db->item.page_for(key, *f.db->item.find_id(key));
     const db::PageId leaf = f.db->item.index_page_of(key);
-    EXPECT_EQ(pm.storage_home(data, key), page_hash_home(data, 4)) << "item " << i;
-    EXPECT_EQ(pm.storage_home(leaf, key), page_hash_home(leaf, 4)) << "item " << i;
     EXPECT_EQ(pm.home_of_page(data), page_hash_home(data, 4)) << "item " << i;
+    EXPECT_EQ(pm.home_of_page(leaf), page_hash_home(leaf, 4)) << "item " << i;
   }
 }
 
-TEST(PartitionMap, YcsbStorageHomeIsTheKeyOwner) {
+TEST(PartitionMap, YcsbPageHomeIsTheLastKeyOwner) {
   Fixture f(80);
   f.db->build_ycsb(1000);
   PartitionMap pm(*f.db, 4);
   const auto& table = *f.db->ycsb;
+  const std::int64_t rows = table.rows_per_page();
+  const std::int64_t keys_per_leaf = table.kIndexKeysPerLeaf;
   // Dense keys: node k owns [250k, 250k + 250).
   for (std::int64_t k : {0, 249, 250, 499, 500, 750, 999}) {
     const db::Key key = db::key_ycsb(k);
-    const int owner = pm.owner_of_ycsb_key(k);
-    EXPECT_EQ(owner, static_cast<int>(k / 250));
-    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), owner) << k;
-    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), owner) << k;
+    EXPECT_EQ(pm.owner_of_ycsb_key(k), static_cast<int>(k / 250));
+    EXPECT_EQ(pm.home_of_page(table.data_page_of_key(key)),
+              pm.owner_of_ycsb_key((k / rows + 1) * rows - 1))
+        << k;
+    EXPECT_EQ(pm.home_of_page(table.index_page_of(key)),
+              pm.owner_of_ycsb_key((k / keys_per_leaf + 1) * keys_per_leaf - 1))
+        << k;
   }
-  // Keys 248..255 share a data page across the node 0 / node 1 boundary.
+  // Keys 248..255 share a data page, and 224..255 an index leaf, across
+  // the node 0 / node 1 boundary: both are homed at node 1.
   const db::PageId straddle = table.data_page_of_key(db::key_ycsb(249));
-  EXPECT_EQ(pm.storage_home(straddle, db::key_ycsb(249)), 0);
+  ASSERT_EQ(straddle, table.data_page_of_key(db::key_ycsb(248)));
+  ASSERT_EQ(straddle, table.data_page_of_key(db::key_ycsb(255)));
+  const db::PageId leaf = table.index_page_of(db::key_ycsb(249));
+  ASSERT_EQ(leaf, table.index_page_of(db::key_ycsb(224)));
+  ASSERT_EQ(leaf, table.index_page_of(db::key_ycsb(255)));
+  EXPECT_EQ(pm.owner_of_ycsb_key(249), 0);
   EXPECT_EQ(pm.home_of_page(straddle), 1);
+  EXPECT_EQ(pm.home_of_page(leaf), 1);
   // Insert-region keys carry their minting node.
   for (int node : {0, 2, 3}) {
     const db::Key key = db::ycsb_insert_key(node, 17);
     EXPECT_EQ(pm.owner_of_ycsb_key(static_cast<std::int64_t>(key)), node);
-    EXPECT_EQ(pm.storage_home(table.data_page_of_key(key), key), node);
-    EXPECT_EQ(pm.storage_home(table.index_page_of(key), key), node);
+    EXPECT_EQ(pm.home_of_page(table.data_page_of_key(key)), node);
+    EXPECT_EQ(pm.home_of_page(table.index_page_of(key)), node);
   }
+}
+
+/// route draws as every client always has: one chance() per request, and a
+/// uniform_int() only when the coin misses.
+TEST(PartitionMap, RouteDrawsOneCoinAndAUniformNodeOnlyOnAMiss) {
+  Fixture f(80);
+  PartitionMap pm(*f.db, 4);
+  sim::Rng rng(99), twin(99);
+  for (int i = 0; i < 200; ++i) {
+    const int expected = twin.chance(0.5) ? 2 : static_cast<int>(twin.uniform_int(0, 3));
+    EXPECT_EQ(pm.route(rng, 0.5, 2), expected) << "draw " << i;
+  }
+  // Affinity 1.0 always routes to the owner.
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(pm.route(rng, 1.0, 3), 3);
 }
 
 }  // namespace

@@ -190,11 +190,10 @@ TEST(Executor, ConflictingWriterWaitsForLockRelease) {
   // Foreign transaction holds the district-1 row lock.
   const db::PageId dpage = m.db->district.data_page_of_key(db::key_wd(1, 1));
   const int sub = m.db->district.subpage_of_key(db::key_wd(1, 1));
-  const db::LockName name = db::lock_name(dpage, sub);
   bool granted = false;
-  sim::spawn([](MiniNode& m, db::LockName name, bool& g) -> sim::Task<void> {
-    g = co_await m.node->fusion().lock_try(name, 0, /*txn=*/9999);
-  }(m, name, granted));
+  sim::spawn([](MiniNode& m, db::PageId page, int sub, bool& g) -> sim::Task<void> {
+    g = co_await m.node->fusion().lock(page, sub, /*txn=*/9999, /*wait=*/false);
+  }(m, dpage, sub, granted));
   m.engine.run();
   ASSERT_TRUE(granted);
 
@@ -209,9 +208,9 @@ TEST(Executor, ConflictingWriterWaitsForLockRelease) {
   EXPECT_FALSE(committed);
   EXPECT_GE(m.stats->lock_waits.count() + m.stats->lock_failures.count(), 1u);
 
-  sim::spawn([](MiniNode& m, db::LockName name) -> sim::Task<void> {
-    co_await m.node->fusion().lock_release(name, 0, 9999);
-  }(m, name));
+  sim::spawn([](MiniNode& m, db::PageId page, int sub) -> sim::Task<void> {
+    co_await m.node->fusion().lock_release(page, sub, 9999);
+  }(m, dpage, sub));
   m.engine.run();
   EXPECT_TRUE(committed);
   EXPECT_GT(m.stats->lock_wait_time.mean(), 0.0);
@@ -294,13 +293,11 @@ TEST(Executor, YcsbUpdateWaitsForForeignLock) {
   auto& table = *m.db->ycsb;
   const db::Key k = db::key_ycsb(42);
   const db::PageId page = table.data_page_of_key(k);
-  const db::LockName name = db::lock_name(page, table.subpage_of_key(k));
-  const int home = m.node->fusion().dir_home(page);
+  const int sub = table.subpage_of_key(k);
   bool granted = false;
-  sim::spawn([](MiniNode& m, db::LockName name, int home,
-                bool& g) -> sim::Task<void> {
-    g = co_await m.node->fusion().lock_try(name, home, /*txn=*/9999);
-  }(m, name, home, granted));
+  sim::spawn([](MiniNode& m, db::PageId page, int sub, bool& g) -> sim::Task<void> {
+    g = co_await m.node->fusion().lock(page, sub, /*txn=*/9999, /*wait=*/false);
+  }(m, page, sub, granted));
   m.engine.run();
   ASSERT_TRUE(granted);
 
@@ -314,9 +311,9 @@ TEST(Executor, YcsbUpdateWaitsForForeignLock) {
   EXPECT_EQ(rows, 0);
   EXPECT_EQ(table.find(k)->writes, 0u);
 
-  sim::spawn([](MiniNode& m, db::LockName name, int home) -> sim::Task<void> {
-    co_await m.node->fusion().lock_release(name, home, 9999);
-  }(m, name, home));
+  sim::spawn([](MiniNode& m, db::PageId page, int sub) -> sim::Task<void> {
+    co_await m.node->fusion().lock_release(page, sub, 9999);
+  }(m, page, sub));
   m.engine.run();
   EXPECT_EQ(rows, 1);
   EXPECT_EQ(table.find(k)->writes, 1u);
