@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file directory.hpp
-/// Cache-fusion directory (the "B" role in the paper's §2.1 protocol). Pages
-/// are hash-homed across nodes; each node runs one DirectoryService instance
-/// for the pages it homes. The directory knows which nodes hold a page and
+/// Cache-fusion directory (the "B" role in the paper's §2.1 protocol). A
+/// page's directory entry lives at its home (cluster::PartitionMap::
+/// home_of_page); each node runs one DirectoryService instance for the pages
+/// it homes. The directory knows which nodes hold a page and
 /// which (if any) holds it exclusively, and picks the data supplier for
 /// remote fetches.
 ///
