@@ -370,7 +370,7 @@ void RdmaConnection::arm_rto() {
   const sim::Duration timeout =
       backoff_part + sim::transmission_time(flight(), rate_);
   // Raw capture: cancelled by every teardown path and by ~Endpoint.
-  rto_timer_ = engine().after(timeout, [this] { on_rto(); });
+  rto_timer_ = engine().timer_after(timeout, [this] { on_rto(); });
 }
 
 void RdmaConnection::on_rto() {

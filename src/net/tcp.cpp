@@ -267,7 +267,7 @@ void TcpConnection::maybe_delayed_ack() {
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_ = engine().after(
+    delack_timer_ = engine().timer_after(
         stack().params().delayed_ack(), [this] {
           if (state_ != State::kClosed) send_ack_now();
         });
@@ -471,7 +471,7 @@ void TcpConnection::arm_rto() {
       std::min(rto_ * static_cast<double>(1 << std::min(rto_backoff_, 16)),
                p.max_rto());
   // Raw capture: cancelled by every teardown path and by ~Endpoint.
-  rto_timer_ = engine().after(timeout, [this] { on_rto(); });
+  rto_timer_ = engine().timer_after(timeout, [this] { on_rto(); });
 }
 
 void TcpConnection::on_rto() {

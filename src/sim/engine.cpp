@@ -11,9 +11,9 @@ Engine::~Engine() {
   }
 }
 
-void Engine::fire_head() {
-  const QueueEntry e = heap_[0];
-  heap_pop();
+void Engine::fire_head(Heap& q) {
+  const QueueEntry e = q[0];
+  heap_pop(q);
   Slot& s = slot(e.slot);
   if (s.generation != e.generation) return;  // cancelled; slot already reused
   // Bump the generation before invoking so handles held by the callback
@@ -21,7 +21,7 @@ void Engine::fire_head() {
   // a no-op instead of destroying the running callback.
   ++s.generation;
   --live_;
-  now_ = e.time;
+  now_ = e.time();
   // Events inherit the domain of the event that scheduled them; the key's
   // target byte says which domain this event belongs to.
   if (domain_mode_) cur_domain_ = event_key::tgt_domain(e.seq);
@@ -41,8 +41,8 @@ void Engine::fire_head() {
 
 std::uint64_t Engine::run_until(Time t_end) {
   const std::uint64_t before = executed_;
-  while (!heap_.empty() && heap_[0].time <= t_end) {
-    fire_head();
+  for (Heap* q; (q = next_queue()) != nullptr && (*q)[0].time() <= t_end;) {
+    fire_head(*q);
   }
   if (now_ < t_end) now_ = t_end;
   return executed_ - before;
@@ -50,8 +50,8 @@ std::uint64_t Engine::run_until(Time t_end) {
 
 std::uint64_t Engine::run_until_before(Time t) {
   const std::uint64_t before = executed_;
-  while (!heap_.empty() && heap_[0].time < t) {
-    fire_head();
+  for (Heap* q; (q = next_queue()) != nullptr && (*q)[0].time() < t;) {
+    fire_head(*q);
   }
   if (now_ < t) now_ = t;
   return executed_ - before;
@@ -59,9 +59,7 @@ std::uint64_t Engine::run_until_before(Time t) {
 
 std::uint64_t Engine::run() {
   const std::uint64_t before = executed_;
-  while (!heap_.empty()) {
-    fire_head();
-  }
+  for (Heap* q; (q = next_queue()) != nullptr;) fire_head(*q);
   return executed_ - before;
 }
 

@@ -12,8 +12,11 @@
 /// (large captures fall back to the heap); cancellation is a generation bump
 /// on the slot, so an EventHandle is just {engine, slot index, generation}
 /// and cancelled events are dropped lazily when they surface at the head of
-/// the queue. The queue itself is a 4-ary heap of 24-byte POD entries.
+/// the queue. The queue itself is two 4-ary heaps of 24-byte POD entries
+/// ordered by one 128-bit key: one for events, one for timers that are
+/// usually cancelled before they fire (timer_after).
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -112,6 +115,17 @@ class Engine {
     return at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// after() for a timer that is usually cancelled before it fires (TCP and
+  /// RDMA retry timers, delayed ACKs). It fires exactly when after() would
+  /// have fired it, but waits in a heap of its own, so the corpses of
+  /// cancelled timers do not deepen the heap every other event goes through.
+  template <typename F>
+  EventHandle timer_after(Duration delay, F&& fn) {
+    assert(delay >= 0.0);
+    return schedule_keyed(timers_, now_ + delay, mint_local_key(),
+                          std::forward<F>(fn));
+  }
+
   /// Run until the event queue drains or simulated time reaches \p t_end.
   /// Returns the number of events executed.
   std::uint64_t run_until(Time t_end);
@@ -122,7 +136,7 @@ class Engine {
   /// Total number of events executed so far.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of arena slots currently holding a scheduled (uncancelled) event.
+  /// Number of scheduled (uncancelled) events, timers included.
   [[nodiscard]] std::size_t events_pending() const { return live_; }
 
   /// Monotonic per-engine id source. Model components that need ids unique
@@ -144,7 +158,7 @@ class Engine {
   /// engine may host any subset of the domains).
   void enable_domains(std::uint32_t domain_count, int shard_id,
                       CrossDomainRouter* router) {
-    assert(next_seq_ == 0 && heap_.empty());
+    assert(next_seq_ == 0 && heap_.empty() && timers_.empty());
     assert(domain_count >= 1 && domain_count <= 255);
     domain_mode_ = true;
     shard_id_ = shard_id;
@@ -168,7 +182,7 @@ class Engine {
   template <typename F>
   void inject(Time t, std::uint64_t key, F&& fn) {
     assert(t >= now_);
-    schedule_keyed(t, key, std::forward<F>(fn));
+    schedule_keyed(heap_, t, key, std::forward<F>(fn));
   }
 
   /// Schedule \p fn at absolute time \p t targeting another domain. The key
@@ -230,13 +244,23 @@ class Engine {
   static_assert(sizeof(Slot) == 128);
   static_assert(offsetof(Slot, storage) % alignof(std::max_align_t) == 0);
 
-  /// 24-byte POD; the heap moves these, never the callbacks.
+  /// The ordering key (time, seq) as one unsigned 128-bit number: the
+  /// time's bits, then seq. A scheduled time is never negative or NaN, and
+  /// schedule_keyed stores -0.0 as +0.0, so the bits of two times order
+  /// exactly as the times do.
+  using Key = unsigned __int128;
+
+  /// 24-byte POD; the heaps move these, never the callbacks.
   struct QueueEntry {
-    Time time;
+    std::uint64_t time_bits;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t generation;
+
+    [[nodiscard]] Key key() const { return (Key{time_bits} << 64) | seq; }
+    [[nodiscard]] Time time() const { return std::bit_cast<Time>(time_bits); }
   };
+  using Heap = std::vector<QueueEntry>;
 
   template <typename F, bool Inline>
   static void invoke_impl(Slot& s) {
@@ -300,96 +324,118 @@ class Engine {
            slot(idx).invoke != nullptr;
   }
 
-  static bool earlier(const QueueEntry& a, const QueueEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
-  void heap_push(QueueEntry e) {
+  static void heap_push(Heap& h, QueueEntry e) {
     // Hole insertion: shift ancestors down, write the entry once.
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
+    const Key k = e.key();
+    std::size_t i = h.size();
+    h.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!earlier(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!(k < h[parent].key())) break;
+      h[i] = h[parent];
       i = parent;
     }
-    heap_[i] = e;
+    h[i] = e;
+  }
+
+  /// The earliest of the children starting at \p first, in a heap of \p n
+  /// entries. A full family is a two-round tournament with no branch: the
+  /// round winners are picked by conditional moves and the final index by a
+  /// mask, because which child wins is as good as random and a mispredicted
+  /// branch per level costs more than the arithmetic. Only the last family
+  /// of a heap can be partial.
+  static std::size_t min_child(const Heap& h, std::size_t first, std::size_t n) {
+    const QueueEntry* c = &h[first];
+    if (first + 4 <= n) {
+      const Key k0 = c[0].key(), k1 = c[1].key(), k2 = c[2].key(), k3 = c[3].key();
+      const bool b01 = k1 < k0, b23 = k3 < k2;
+      const std::size_t i01 = b01, i23 = 2 + std::size_t{b23};
+      const std::size_t w = (b23 ? k3 : k2) < (b01 ? k1 : k0);
+      return first + (i01 ^ ((i01 ^ i23) & (0 - w)));  // w ? i23 : i01
+    }
+    std::size_t best = 0;
+    for (std::size_t j = 1; first + j < n; ++j) {
+      if (c[j].key() < c[best].key()) best = j;
+    }
+    return first + best;
   }
 
   /// Sift value \p v down from position i (the slot at i is treated as free;
   /// v is taken by value because it may alias an element being overwritten).
-  void sift_down(std::size_t i, const QueueEntry v) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], v)) break;
-      heap_[i] = heap_[best];
+  static void sift_down(Heap& h, std::size_t i, const QueueEntry v) {
+    const std::size_t n = h.size();
+    const Key k = v.key();
+    for (std::size_t first = 4 * i + 1; first < n; first = 4 * i + 1) {
+      const std::size_t best = min_child(h, first, n);
+      if (!(h[best].key() < k)) break;
+      h[i] = h[best];
       i = best;
     }
-    heap_[i] = v;
+    h[i] = v;
   }
 
-  /// Remove heap_[0]; the heap must be non-empty. Bottom-up variant: walk the
-  /// min-child path to a leaf unconditionally (3 comparisons per level), then
-  /// sift the displaced last element up from the vacated leaf. The last
-  /// element was itself a leaf, so the up-pass almost always stops after one
-  /// comparison — cheaper than comparing it against the min child on the way
-  /// down as the textbook pop does.
-  void heap_pop() {
-    const std::size_t n = heap_.size() - 1;
-    const QueueEntry last = heap_[n];
-    heap_.pop_back();
+  /// Remove h[0]; the heap must be non-empty. Bottom-up variant: walk the
+  /// min-child path to a leaf unconditionally, then sift the displaced last
+  /// element up from the vacated leaf. The last element was itself a leaf,
+  /// so the up-pass almost always stops after one comparison — cheaper than
+  /// comparing it against the min child on the way down as the textbook pop
+  /// does.
+  static void heap_pop(Heap& h) {
+    const std::size_t n = h.size() - 1;
+    const QueueEntry last = h[n];
+    h.pop_back();
     if (n == 0) return;
     std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      heap_[i] = heap_[best];
+    for (std::size_t first = 1; first < n; first = 4 * i + 1) {
+      const std::size_t best = min_child(h, first, n);
+      h[i] = h[best];
       i = best;
     }
+    const Key k = last.key();
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!earlier(last, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!(k < h[parent].key())) break;
+      h[i] = h[parent];
       i = parent;
     }
-    heap_[i] = last;
+    h[i] = last;
   }
 
   /// Cancellation is lazy (entries are dropped when they surface), so a
   /// timer-rearm-heavy workload — TCP RTO timers are cancelled on every ACK —
-  /// would otherwise grow the heap without bound and tax every sift. When
-  /// dead entries outnumber live ones 2:1, filter them out and re-heapify;
-  /// amortized O(1) per event, and the pop order of survivors is unchanged.
+  /// would otherwise grow the heaps without bound and tax every sift. When
+  /// the dead entries of both heaps together at least equal the live ones,
+  /// filter both and re-heapify; amortized O(1) per event, and the pop order
+  /// of survivors is unchanged.
   void maybe_compact() {
-    if (heap_.size() < 64 || heap_.size() < 2 * live_) return;
+    const std::size_t queued = heap_.size() + timers_.size();
+    if (queued < 64 || queued < 2 * live_) return;
+    compact(heap_);
+    compact(timers_);
+  }
+
+  void compact(Heap& h) {
     std::size_t out = 0;
-    for (const QueueEntry& e : heap_) {
-      if (slot(e.slot).generation == e.generation) heap_[out++] = e;
+    for (const QueueEntry& e : h) {
+      if (slot(e.slot).generation == e.generation) h[out++] = e;
     }
-    heap_.resize(out);
+    h.resize(out);
     if (out > 1) {
-      for (std::size_t i = (out - 2) / 4 + 1; i-- > 0;) {
-        sift_down(i, heap_[i]);
-      }
+      for (std::size_t i = (out - 2) / 4 + 1; i-- > 0;) sift_down(h, i, h[i]);
     }
   }
 
-  /// Pop-and-fire the head entry (already checked against the time bound).
-  void fire_head();
+  /// The heap whose head fires next (dead or alive), or null when both are
+  /// empty.
+  [[nodiscard]] Heap* next_queue() {
+    if (timers_.empty()) return heap_.empty() ? nullptr : &heap_;
+    if (heap_.empty() || timers_[0].key() < heap_[0].key()) return &timers_;
+    return &heap_;
+  }
+
+  /// Pop-and-fire the head entry of \p q (already checked against the time
+  /// bound).
+  void fire_head(Heap& q);
 
   /// Ordering key for a locally-scheduled event: the plain global sequence in
   /// legacy mode (byte-identical to the original engine), the composed
@@ -401,7 +447,7 @@ class Engine {
   }
 
   template <typename F>
-  EventHandle schedule_keyed(Time t, std::uint64_t key, F&& fn);
+  EventHandle schedule_keyed(Heap& q, Time t, std::uint64_t key, F&& fn);
 
   struct DomainState {
     std::uint64_t next_seq = 0;
@@ -413,7 +459,8 @@ class Engine {
   std::uint64_t executed_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t live_ = 0;
-  std::vector<QueueEntry> heap_;
+  Heap heap_;
+  Heap timers_;  ///< timer_after's events
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t num_slots_ = 0;
   std::uint32_t free_head_ = kNoFree;
@@ -444,7 +491,7 @@ class DomainScope {
 };
 
 template <typename F>
-EventHandle Engine::schedule_keyed(Time t, std::uint64_t key, F&& fn) {
+EventHandle Engine::schedule_keyed(Heap& q, Time t, std::uint64_t key, F&& fn) {
   using Fn = std::decay_t<F>;
   static_assert(std::is_invocable_v<Fn&>, "engine callbacks take no arguments");
   constexpr bool kFits =
@@ -464,7 +511,11 @@ EventHandle Engine::schedule_keyed(Time t, std::uint64_t key, F&& fn) {
   } else {
     s.destroy = &destroy_impl<Fn, kFits>;
   }
-  heap_push(QueueEntry{t, key, idx, s.generation});
+  // + 0.0 turns -0.0 into +0.0 and leaves every other time as it is.
+  const Time stored = t + 0.0;
+  assert(stored >= 0.0);  // also rejects NaN
+  heap_push(q, QueueEntry{std::bit_cast<std::uint64_t>(stored), key, idx,
+                          s.generation});
   ++live_;
   return EventHandle{this, idx, s.generation};
 }
@@ -472,7 +523,7 @@ EventHandle Engine::schedule_keyed(Time t, std::uint64_t key, F&& fn) {
 template <typename F>
 EventHandle Engine::at(Time t, F&& fn) {
   assert(t >= now_);
-  return schedule_keyed(t, mint_local_key(), std::forward<F>(fn));
+  return schedule_keyed(heap_, t, mint_local_key(), std::forward<F>(fn));
 }
 
 inline void EventHandle::cancel() {
