@@ -125,7 +125,6 @@ sim::Task<void> TxnExecutor::write_row(TxnCtx& ctx, db::Table<Row>& table,
                               ctx.tid);
   // Phase 1: intention latch only; the global lock conversion happens at
   // commit, in sequence order.
-  ctx.locks.push_back({page, subpage});
   ctx.writes.push_back({page, subpage, table.spec().subpage_bytes});
   ctx.log_bytes += table.spec().row_bytes + 64;  // record header
   ctx.applies.push_back([&table, id, apply = std::move(apply)] {
@@ -485,24 +484,25 @@ sim::Task<bool> TxnExecutor::run_txn(const TxnInput& input, TxnCtx& ctx) {
   co_return true;
 }
 
-sim::Task<void> TxnExecutor::release_all(TxnCtx& ctx, std::size_t count) {
-  for (std::size_t i = 0; i < count && i < ctx.locks.size(); ++i) {
-    co_await env_.fusion->lock_release(ctx.locks[i].page, ctx.locks[i].subpage,
-                                       ctx.token);
+sim::Task<void> TxnExecutor::release_all(const std::vector<PendingWrite>& locks,
+                                         std::size_t count, std::uint64_t token) {
+  for (std::size_t i = 0; i < count; ++i) {
+    co_await env_.fusion->lock_release(locks[i].page, locks[i].subpage, token);
   }
 }
 
 sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
   // Convert latches to locks in sequence order, deduplicated (several row
   // ops in one sub-page need one lock).
-  std::vector<LockRef> ordered;
-  ordered.reserve(ctx.locks.size());
-  for (const LockRef& ref : ctx.locks) {
-    if (std::find(ordered.begin(), ordered.end(), ref) == ordered.end()) {
-      ordered.push_back(ref);
+  std::vector<PendingWrite> locks;
+  locks.reserve(ctx.writes.size());
+  for (const PendingWrite& w : ctx.writes) {
+    if (std::none_of(locks.begin(), locks.end(), [&w](const PendingWrite& l) {
+          return l.page == w.page && l.subpage == w.subpage;
+        })) {
+      locks.push_back(w);
     }
   }
-  ctx.locks = std::move(ordered);
 
   constexpr int kMaxRetries = 8;
   const sim::Time locks_begin = env_.engine->now();
@@ -512,9 +512,9 @@ sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
     if (env_.alive && !*env_.alive) co_return false;
     std::size_t acquired = 0;
     bool all_granted = true;
-    for (std::size_t i = 0; i < ctx.locks.size(); ++i) {
+    for (std::size_t i = 0; i < locks.size(); ++i) {
       env_.stats->lock_acquisitions.record();
-      const LockRef& ref = ctx.locks[i];
+      const PendingWrite& ref = locks[i];
       bool granted = co_await env_.fusion->lock(ref.page, ref.subpage, ctx.token,
                                                 /*wait=*/false);
       if (!granted && i == 0) {
@@ -535,7 +535,7 @@ sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
       }
       // Later failure: release everything and retry after a delay.
       env_.stats->lock_failures.record();
-      co_await release_all(ctx, acquired);
+      co_await release_all(locks, acquired, ctx.token);
       all_granted = false;
       break;
     }
@@ -551,7 +551,7 @@ sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
   // crashed during lock acquisition releases promptly and applies nothing,
   // so committed state never contains a dead node's writes.
   if (env_.alive && !*env_.alive) {
-    co_await release_all(ctx, ctx.locks.size());
+    co_await release_all(locks, locks.size(), ctx.token);
     co_return false;
   }
 
@@ -573,7 +573,7 @@ sim::Task<bool> TxnExecutor::commit(TxnCtx& ctx) {
   }
   co_await env_.proc->compute(env_.pl.txn_commit, cpu::JobClass::kApplication,
                               ctx.tid);
-  co_await release_all(ctx, ctx.locks.size());
+  co_await release_all(locks, locks.size(), ctx.token);
   // Apply covers versioning, row mutation, commit work and lock release;
   // the WAL flush is reported separately.
   ctx.apply_time = env_.engine->now() - apply_begin - ctx.log_time;

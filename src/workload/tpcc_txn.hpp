@@ -134,18 +134,12 @@ class TxnExecutor {
     int subpage;
     sim::Bytes bytes;
   };
-  /// A global lock by what it covers; cache fusion names it and finds its
-  /// home.
-  struct LockRef {
-    db::PageId page;
-    int subpage;
-    bool operator==(const LockRef&) const = default;
-  };
   struct TxnCtx {
     std::uint64_t token = 0;
     db::Timestamp snapshot = 0;
     cpu::ThreadId tid = 0;
-    std::vector<LockRef> locks;  ///< phase-1 latches, in access order
+    /// Written sub-pages in access order (the phase-1 intention latches):
+    /// commit locks each sub-page once and versions every entry.
     std::vector<PendingWrite> writes;
     std::vector<std::function<void()>> applies;  ///< run after locks granted
     sim::Bytes log_bytes = 0;
@@ -179,7 +173,9 @@ class TxnExecutor {
   /// Phase 2 + apply + log + release. Returns false if the transaction had
   /// to abort (node dead or lock retry budget exhausted).
   sim::Task<bool> commit(TxnCtx& ctx);
-  sim::Task<void> release_all(TxnCtx& ctx, std::size_t count);
+  /// Release the first \p count of \p locks (commit's lock list).
+  sim::Task<void> release_all(const std::vector<PendingWrite>& locks,
+                              std::size_t count, std::uint64_t token);
 
   // --- row access primitives (phase 1), for both families ----------------
   template <typename Row>
