@@ -79,7 +79,9 @@ sim::DetachedTask IpcService::reader_loop(int peer,
     // Application-level IPC handling cost (the receive interrupts
     // application processing; TCP per-segment costs were already charged).
     co_await charge_(handler_pl_, cpu::JobClass::kKernel);
-    if (msg.bytes <= kControlMsgBytes) {
+    // By type, as on the send side: a short block transfer (recovery's last
+    // log chunk) is still data.
+    if (msg.type != kBlockTransfer) {
       stats_.control_msg_delay.record(engine_.now() - msg.sent_at);
     }
     auto env = std::static_pointer_cast<Envelope>(msg.payload);

@@ -109,6 +109,16 @@ TEST(IpcService, ShortBlockTransferStillCountsAsData) {
   EXPECT_EQ(h.stats_a.ipc_control_bytes.count(), 0u);
 }
 
+/// The receive side, too: a block transfer shorter than a control message
+/// is not a control-message delay.
+TEST(IpcService, ShortBlockTransferIsNotAControlDelay) {
+  Harness h;
+  auto body = std::make_shared<EchoBody>(EchoBody{1});
+  h.a->send(1, kBlockTransfer, kControlMsgBytes - 50, body, 99);
+  h.engine.run();
+  EXPECT_EQ(h.stats_b.control_msg_delay.count(), 0u);
+}
+
 TEST(IpcService, EarlyReplyBeforeAwaitIsNotLost) {
   // 3-way exchanges can deliver the correlated reply before the requester
   // starts waiting for it.
