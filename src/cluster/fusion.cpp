@@ -84,7 +84,7 @@ sim::Task<void> FusionLayer::access_page(db::PageId page, bool exclusive,
     d_.stats->buffer_misses.record();
     auto gate = std::make_shared<sim::Gate>(*d_.engine);
     inflight_[page] = gate;
-    co_await d_.charge(d_.pl.buffer_miss, cpu::JobClass::kApplication);
+    co_await cpu::charge(d_.cpu, d_.pl.buffer_miss, cpu::JobClass::kApplication);
     co_await fetch_miss(page, exclusive, upgrade_only, allocate);
     auto evicted = d_.cache->insert(page, mode);
     process_evictions(evicted);
@@ -179,7 +179,7 @@ sim::Task<void> FusionLayer::disk_fetch(db::PageId page, int home) {
   d_.stats->disk_reads.record();
   count_by_table(page, d_.stats->disk_by_table, d_.stats->disk_index_by_table);
   if (home == d_.node_id) {
-    co_await d_.charge(d_.pl.local_io, cpu::JobClass::kKernel);
+    co_await cpu::charge(d_.cpu, d_.pl.local_io, cpu::JobClass::kKernel);
     co_await d_.data_disk->read(block_address(page), db::kPageBytes);
   } else {
     d_.stats->iscsi_reads.record();
@@ -224,7 +224,7 @@ sim::DetachedTask FusionLayer::handle_dir_request(Envelope env) {
 
 sim::Task<bool> FusionLayer::lock(db::PageId page, int subpage, db::TxnToken txn,
                                   bool wait) {
-  co_await d_.charge(d_.pl.lock_op, cpu::JobClass::kApplication);
+  co_await cpu::charge(d_.cpu, d_.pl.lock_op, cpu::JobClass::kApplication);
   const db::LockName name = db::lock_name(page, subpage);
   const int home = dir_home(page);
   if (home == d_.node_id) co_return co_await acquire_here(name, txn, wait);
@@ -244,7 +244,7 @@ sim::Task<bool> FusionLayer::acquire_here(db::LockName name, db::TxnToken txn,
 
 sim::Task<void> FusionLayer::lock_release(db::PageId page, int subpage,
                                           db::TxnToken txn) {
-  co_await d_.charge(d_.pl.lock_op, cpu::JobClass::kApplication);
+  co_await cpu::charge(d_.cpu, d_.pl.lock_op, cpu::JobClass::kApplication);
   const db::LockName name = db::lock_name(page, subpage);
   const int home = dir_home(page);
   if (home == d_.node_id) {

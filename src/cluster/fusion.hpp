@@ -59,7 +59,9 @@ struct FusionDeps {
   db::LogManager* log = nullptr;
   /// iSCSI initiators indexed by target node; [node_id] unused.
   std::vector<proto::IscsiInitiator*> iscsi;
-  IpcService::Charge charge;
+  /// This node's processor, charged for buffer misses, local IO and lock
+  /// operations; null in harnesses that do not model the CPU.
+  cpu::Processor* cpu = nullptr;
   core::PathLengths pl;
   core::NodeStats* stats = nullptr;
   /// The home of a page (required): its directory and lock master, and the

@@ -78,7 +78,7 @@ sim::DetachedTask IpcService::reader_loop(int peer,
     }
     // Application-level IPC handling cost (the receive interrupts
     // application processing; TCP per-segment costs were already charged).
-    co_await charge_(handler_pl_, cpu::JobClass::kKernel);
+    co_await cpu::charge(cpu_, handler_pl_, cpu::JobClass::kKernel);
     // By type, as on the send side: a short block transfer (recovery's last
     // log chunk) is still data.
     if (msg.type != kBlockTransfer) {

@@ -20,7 +20,6 @@
 #include "cpu/processor.hpp"
 #include "proto/channel.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/inline_fn.hpp"
 #include "sim/sync.hpp"
 
 namespace dclue::cluster {
@@ -87,18 +86,16 @@ class IpcService {
  public:
   /// Handler for incoming non-reply messages.
   using Handler = std::function<void(Envelope)>;
-  /// Charges path length to this node's CPUs. Same inline-storage type as
-  /// net::CpuCharge so the node wiring passes one callable to both layers.
-  using Charge =
-      sim::InlineFn<sim::Task<void>(sim::PathLength, cpu::JobClass)>;
 
+  /// Each received message charges \p handler_pl to this node's processor
+  /// \p cpu (null in harnesses that do not model the CPU).
   IpcService(sim::Engine& engine, int node_id, core::NodeStats& stats,
-             sim::PathLength handler_pl, Charge charge)
+             sim::PathLength handler_pl, cpu::Processor* cpu)
       : engine_(engine),
         node_id_(node_id),
         stats_(stats),
         handler_pl_(handler_pl),
-        charge_(std::move(charge)) {}
+        cpu_(cpu) {}
 
   /// Bind the channel toward \p peer and start its reader loop.
   void attach_peer(int peer, std::shared_ptr<proto::MsgChannel> channel);
@@ -176,7 +173,7 @@ class IpcService {
   int node_id_;
   core::NodeStats& stats_;
   sim::PathLength handler_pl_;
-  Charge charge_;
+  cpu::Processor* cpu_;
   /// Hot-map convention (PR 5): flat open-addressing replaces unordered_map
   /// on the per-message paths. References are never held across inserts
   /// (await_reply re-looks-up after its await), so rehash moves are safe.

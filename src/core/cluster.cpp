@@ -193,7 +193,7 @@ void Cluster::build_clients() {
     auto stack = std::make_unique<net::TcpStack>(
         eng, topo_->client_nic(h), net::TcpParams{.timer_scale = 0.01 * cfg_.scale},
         cfg_.hw_tcp ? net::TcpCostModel::hardware() : net::TcpCostModel::software(),
-        [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; });
+        /*cpu=*/nullptr);
     sim::Gate* gate = nullptr;
     if (shards_) {
       // Cross-engine gates are not safe: each host gets its own gate, opened
@@ -248,7 +248,7 @@ void Cluster::build_cross_traffic() {
     auto stack = std::make_unique<net::TcpStack>(
         eng, topo_->extra_server_nic(s),
         net::TcpParams{.timer_scale = 0.01 * cfg_.scale}, net::TcpCostModel::hardware(),
-        [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; });
+        /*cpu=*/nullptr);
     ftp_servers_.push_back(std::make_unique<proto::FtpServer>(eng, *stack, 21));
     ftp_servers.push_back(topo_->extra_server_nic(s).address());
     xtra_stacks_.push_back(std::move(stack));
@@ -259,7 +259,7 @@ void Cluster::build_cross_traffic() {
   auto stack = std::make_unique<net::TcpStack>(
       ceng, topo_->extra_client_nic(0),
       net::TcpParams{.timer_scale = 0.01 * cfg_.scale}, net::TcpCostModel::hardware(),
-      [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; });
+      /*cpu=*/nullptr);
   proto::FtpTrafficParams fparams;
   fparams.offered_load_bps = cfg_.ftp.offered_load_mbps * 1e6 / cfg_.scale;
   fparams.dscp = cfg_.ftp.high_priority ? net::Dscp::kAF21 : net::Dscp::kBestEffort;

@@ -2,11 +2,14 @@
 
 /// \file processor.hpp
 /// Multi-core CPU scheduler for one server node. Model coroutines execute
-/// path-length-denominated work with `co_await proc.compute(pl, cls, tid)`.
-/// Interrupt-class work preempts application work (the paper: "application
-/// processing is interrupted to handle message receives"), and dispatching a
-/// different thread than the one that last ran on a core pays the
-/// cache-pressure-dependent context switch cost from the MemorySystem.
+/// path-length-denominated work with `co_await proc.compute(pl, cls, tid)`;
+/// the protocol layers (TCP, iSCSI, IPC, cache fusion) charge theirs with
+/// `co_await cpu::charge(proc, pl, cls)` on the host's processor, which a
+/// host whose CPU is not modeled leaves null. Interrupt-class work preempts
+/// application work (the paper: "application processing is interrupted to
+/// handle message receives"), and dispatching a different thread than the
+/// one that last ran on a core pays the cache-pressure-dependent context
+/// switch cost from the MemorySystem.
 
 #include <coroutine>
 #include <cstdint>
@@ -27,26 +30,44 @@ using ThreadId = std::int32_t;
 inline constexpr ThreadId kNoThread = -1;
 
 class Processor {
+  struct Job {
+    sim::PathLength remaining;
+    JobClass cls;
+    ThreadId tid;
+    std::coroutine_handle<> resume;
+  };
+
  public:
   Processor(sim::Engine& engine, const PlatformParams& params, MemorySystem& mem)
       : engine_(engine), params_(params), mem_(mem), cores_(params.cores) {}
   Processor(const Processor&) = delete;
   Processor& operator=(const Processor&) = delete;
 
+  /// Awaiter of compute() and charge(). Its job lives in the awaiting
+  /// coroutine's frame; the processor resumes that coroutine when the job
+  /// completes. Ready at once when there is no processor or no work.
+  class Work {
+   public:
+    Work(Processor* proc, sim::PathLength pl, JobClass cls, ThreadId tid)
+        : proc_(proc), job_{pl, cls, tid, {}} {}
+    bool await_ready() const noexcept {
+      return proc_ == nullptr || job_.remaining <= 0.0;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      job_.resume = h;
+      proc_->submit(&job_);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    Processor* proc_;
+    Job job_;
+  };
+
   /// Awaitable: execute \p pl instructions of class \p cls on behalf of
   /// thread \p tid. Resumes when the work completes.
-  auto compute(sim::PathLength pl, JobClass cls, ThreadId tid) {
-    struct Awaiter {
-      Processor& proc;
-      Job job;
-      bool await_ready() const noexcept { return job.remaining <= 0.0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        job.resume = h;
-        proc.submit(&job);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, Job{pl, cls, tid, {}}};
+  Work compute(sim::PathLength pl, JobClass cls, ThreadId tid) {
+    return {this, pl, cls, tid};
   }
 
   /// Threads register while they have in-flight work; the count drives the
@@ -73,12 +94,6 @@ class Processor {
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix);
 
  private:
-  struct Job {
-    sim::PathLength remaining;
-    JobClass cls;
-    ThreadId tid;
-    std::coroutine_handle<> resume;
-  };
   struct Core {
     bool busy = false;
     Job* job = nullptr;
@@ -113,5 +128,14 @@ class Processor {
   obs::Accum instr_executed_;
   obs::Accum cycles_executed_;
 };
+
+/// Awaitable: charge \p pl instructions of protocol work of class \p cls to
+/// the host CPU \p proc, outside any thread context. A host whose CPU is not
+/// modeled (a client or FTP host, a unit-test harness) passes a null \p proc
+/// and charges nothing.
+[[nodiscard]] inline Processor::Work charge(Processor* proc, sim::PathLength pl,
+                                            JobClass cls) {
+  return {proc, pl, cls, kNoThread};
+}
 
 }  // namespace dclue::cpu

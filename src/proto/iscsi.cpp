@@ -1,18 +1,21 @@
 #include "proto/iscsi.hpp"
 
+#include "cpu/processor.hpp"
+
 namespace dclue::proto {
 namespace {
 
 /// Split a transfer into data PDUs and send them with per-PDU costs.
-sim::Task<void> send_data_pdus(MsgChannel& channel, const net::CpuCharge& charge,
+sim::Task<void> send_data_pdus(MsgChannel& channel, cpu::Processor* proc,
                                const IscsiCostModel& costs, std::uint64_t tag,
                                sim::Bytes total, std::uint32_t type) {
   sim::Bytes remaining = total;
   while (remaining > 0) {
     const sim::Bytes chunk = std::min(remaining, kIscsiMaxDataSegment);
     remaining -= chunk;
-    co_await charge(costs.per_pdu + static_cast<double>(chunk) * costs.per_byte_digest,
-                    cpu::JobClass::kKernel);
+    co_await cpu::charge(
+        proc, costs.per_pdu + static_cast<double>(chunk) * costs.per_byte_digest,
+        cpu::JobClass::kKernel);
     Message msg;
     msg.type = type;
     msg.bytes = chunk + kIscsiHeaderBytes;
@@ -35,7 +38,7 @@ sim::DetachedTask IscsiTarget::serve_loop(std::shared_ptr<MsgChannel> channel) {
     switch (msg.type) {
       case kIscsiCmd: {
         auto cmd = *std::static_pointer_cast<IscsiCmdPayload>(msg.payload);
-        co_await charge_(costs_.per_command, cpu::JobClass::kKernel);
+        co_await cpu::charge(cpu_, costs_.per_command, cpu::JobClass::kKernel);
         if (cmd.is_write) {
           writes_[cmd.tag] = WriteAssembly{0, cmd};
         } else {
@@ -45,9 +48,10 @@ sim::DetachedTask IscsiTarget::serve_loop(std::shared_ptr<MsgChannel> channel) {
       }
       case kIscsiDataOut: {
         auto data = *std::static_pointer_cast<IscsiDataPayload>(msg.payload);
-        co_await charge_(
-            costs_.per_pdu + static_cast<double>(data.bytes) * costs_.per_byte_digest,
-            cpu::JobClass::kKernel);
+        co_await cpu::charge(cpu_,
+                             costs_.per_pdu + static_cast<double>(data.bytes) *
+                                                  costs_.per_byte_digest,
+                             cpu::JobClass::kKernel);
         auto it = writes_.find(data.tag);
         if (it == writes_.end()) break;
         it->value.received += data.bytes;
@@ -78,10 +82,10 @@ sim::DetachedTask IscsiTarget::handle_command(std::shared_ptr<MsgChannel> channe
                       : co_await disk_.read(cmd.block, cmd.bytes);
   }
   if (!cmd.is_write) {
-    co_await send_data_pdus(*channel, charge_, costs_, cmd.tag, cmd.bytes,
+    co_await send_data_pdus(*channel, cpu_, costs_, cmd.tag, cmd.bytes,
                             kIscsiDataIn);
   }
-  co_await charge_(costs_.per_command, cpu::JobClass::kKernel);
+  co_await cpu::charge(cpu_, costs_.per_command, cpu::JobClass::kKernel);
   Message status;
   status.type = kIscsiStatus;
   status.bytes = kIscsiHeaderBytes;
@@ -111,7 +115,7 @@ sim::Task<bool> IscsiInitiator::io(std::int64_t block, sim::Bytes bytes,
   sim::Gate* gate_ptr = gate.get();
   pending_[tag] = Pending{std::move(gate)};
 
-  co_await charge_(costs_.per_command, cpu::JobClass::kKernel);
+  co_await cpu::charge(cpu_, costs_.per_command, cpu::JobClass::kKernel);
   Message cmd;
   cmd.type = kIscsiCmd;
   cmd.bytes = kIscsiHeaderBytes;
@@ -119,7 +123,7 @@ sim::Task<bool> IscsiInitiator::io(std::int64_t block, sim::Bytes bytes,
       IscsiCmdPayload{tag, block, bytes, is_write});
   channel_->send(std::move(cmd));
   if (is_write) {
-    co_await send_data_pdus(*channel_, charge_, costs_, tag, bytes, kIscsiDataOut);
+    co_await send_data_pdus(*channel_, cpu_, costs_, tag, bytes, kIscsiDataOut);
   }
   co_await gate_ptr->wait();
   const auto it = pending_.find(tag);
@@ -150,14 +154,15 @@ sim::DetachedTask IscsiInitiator::reply_pump() {
     switch (msg.type) {
       case kIscsiDataIn: {
         auto data = *std::static_pointer_cast<IscsiDataPayload>(msg.payload);
-        co_await charge_(
-            costs_.per_pdu + static_cast<double>(data.bytes) * costs_.per_byte_digest,
-            cpu::JobClass::kKernel);
+        co_await cpu::charge(cpu_,
+                             costs_.per_pdu + static_cast<double>(data.bytes) *
+                                                  costs_.per_byte_digest,
+                             cpu::JobClass::kKernel);
         break;
       }
       case kIscsiStatus: {
         auto status = *std::static_pointer_cast<IscsiStatusPayload>(msg.payload);
-        co_await charge_(costs_.per_command, cpu::JobClass::kKernel);
+        co_await cpu::charge(cpu_, costs_.per_command, cpu::JobClass::kKernel);
         auto it = pending_.find(status.tag);
         if (it != pending_.end()) it->value.done->open();
         break;

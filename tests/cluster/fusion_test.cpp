@@ -9,10 +9,6 @@
 namespace dclue::cluster {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 /// Two fully-wired fusion nodes over a real fabric (no DBMS on top).
 struct Harness {
   sim::Engine engine;
@@ -39,19 +35,19 @@ struct Harness {
       auto& n = nodes[static_cast<std::size_t>(i)];
       n.stack = std::make_unique<net::TcpStack>(engine, topo->server_nic(i),
                                                 net::TcpParams{},
-                                                net::TcpCostModel{}, free_cpu());
+                                                net::TcpCostModel{}, nullptr);
       n.cache = std::make_unique<db::BufferCache>(64);
       n.directory = std::make_unique<DirectoryService>();
       n.locks = std::make_unique<db::LockManager>(engine);
       n.disk = std::make_unique<storage::DiskArray>(engine, "d", 4,
                                                     storage::DiskParams{});
-      n.ipc = std::make_unique<IpcService>(engine, i, n.stats, 0.0, free_cpu());
-      n.target = std::make_unique<proto::IscsiTarget>(engine, *n.disk, free_cpu(),
+      n.ipc = std::make_unique<IpcService>(engine, i, n.stats, 0.0, nullptr);
+      n.target = std::make_unique<proto::IscsiTarget>(engine, *n.disk, nullptr,
                                                       proto::IscsiCostModel{});
       n.initiators.resize(2);
       for (int j = 0; j < 2; ++j) {
         n.initiators[static_cast<std::size_t>(j)] =
-            std::make_unique<proto::IscsiInitiator>(engine, free_cpu(),
+            std::make_unique<proto::IscsiInitiator>(engine, nullptr,
                                                     proto::IscsiCostModel{});
       }
       FusionDeps deps;
@@ -63,7 +59,6 @@ struct Harness {
       deps.locks = n.locks.get();
       deps.data_disk = n.disk.get();
       deps.iscsi = {n.initiators[0].get(), n.initiators[1].get()};
-      deps.charge = free_cpu();
       deps.stats = &n.stats;
       // Even pages home at 0, odd at 1 (deterministic for tests).
       deps.dir_home_fn = [](db::PageId page) {

@@ -11,10 +11,6 @@
 namespace dclue::cluster {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 /// Two IPC services connected over a real fabric.
 struct Harness {
   sim::Engine engine;
@@ -31,12 +27,12 @@ struct Harness {
     topo = std::make_unique<net::Topology>(engine, tp);
     stack_a = std::make_unique<net::TcpStack>(engine, topo->server_nic(0),
                                               net::TcpParams{}, net::TcpCostModel{},
-                                              free_cpu());
+                                              nullptr);
     stack_b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                               net::TcpParams{}, net::TcpCostModel{},
-                                              free_cpu());
-    a = std::make_unique<IpcService>(engine, 0, stats_a, 0.0, free_cpu());
-    b = std::make_unique<IpcService>(engine, 1, stats_b, 0.0, free_cpu());
+                                              nullptr);
+    a = std::make_unique<IpcService>(engine, 0, stats_a, 0.0, nullptr);
+    b = std::make_unique<IpcService>(engine, 1, stats_b, 0.0, nullptr);
     auto& listener = stack_b->listen(7000);
     sim::spawn([](Harness& h, net::Listener& l) -> sim::Task<void> {
       auto conn = co_await l.accept();
@@ -190,7 +186,7 @@ TEST(IpcTypeTable, NameTableCoversEveryType) {
 TEST(IpcTypeTable, MetricsRegistryBindsOneCounterPerType) {
   sim::Engine engine;
   core::NodeStats stats;
-  IpcService svc(engine, 0, stats, 0.0, free_cpu());
+  IpcService svc(engine, 0, stats, 0.0, nullptr);
   obs::MetricsRegistry reg;
   svc.register_metrics(reg, "ipc.sent.");
   const obs::Snapshot snap = reg.snapshot(engine.now());

@@ -10,10 +10,6 @@
 namespace dclue::net {
 namespace {
 
-CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 struct Harness {
   sim::Engine engine;
   std::unique_ptr<Topology> topo;
@@ -24,9 +20,9 @@ struct Harness {
     tp.servers_per_lata = std::max(tp.servers_per_lata, 2);
     topo = std::make_unique<Topology>(engine, tp);
     a = std::make_unique<TcpStack>(engine, topo->server_nic(0), tcp,
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
     b = std::make_unique<TcpStack>(engine, topo->server_nic(1), tcp,
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
   }
 
   std::shared_ptr<Endpoint> transfer(sim::Bytes bytes, sim::Bytes& received) {

@@ -24,10 +24,6 @@ namespace {
 constexpr std::uint16_t kPort = 7777;
 constexpr sim::Bytes kTotal = 400'000;
 
-CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 /// Interposed between the receiver's downlink and NIC.
 struct Mangler : PacketSink {
   sim::Engine* engine = nullptr;
@@ -85,9 +81,9 @@ FuzzResult run_fuzz(std::uint64_t seed) {
   tp.servers_per_lata = 2;
   Topology topo(engine, tp);
   TcpStack a(engine, topo.server_nic(0), TcpParams{}, TcpCostModel{},
-             free_cpu());
+             nullptr);
   TcpStack b(engine, topo.server_nic(1), TcpParams{}, TcpCostModel{},
-             free_cpu());
+             nullptr);
 
   Mangler mangler;
   mangler.engine = &engine;

@@ -15,10 +15,6 @@
 namespace dclue::net {
 namespace {
 
-CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 constexpr std::uint64_t kConnId = 4242;
 constexpr std::uint16_t kPort = 7777;
 
@@ -35,9 +31,9 @@ struct Harness {
     tp.servers_per_lata = 2;
     topo = std::make_unique<Topology>(engine, tp);
     a = std::make_unique<TcpStack>(engine, topo->server_nic(0), TcpParams{},
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
     b = std::make_unique<TcpStack>(engine, topo->server_nic(1), TcpParams{},
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
     auto& listener = b->listen(kPort);
     sim::spawn([](Listener& l,
                   std::shared_ptr<TcpConnection>& out) -> sim::Task<void> {

@@ -8,10 +8,6 @@
 namespace dclue::net {
 namespace {
 
-CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 /// Two servers in one LATA with TCP stacks and a free (infinite) CPU.
 struct Harness {
   sim::Engine engine;
@@ -24,9 +20,9 @@ struct Harness {
     tp.servers_per_lata = std::max(tp.servers_per_lata, 2);
     topo = std::make_unique<Topology>(engine, tp);
     a = std::make_unique<TcpStack>(engine, topo->server_nic(0), tcp,
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
     b = std::make_unique<TcpStack>(engine, topo->server_nic(1), tcp,
-                                   TcpCostModel{}, free_cpu());
+                                   TcpCostModel{}, nullptr);
   }
 };
 
@@ -218,7 +214,7 @@ TEST(Tcp, TwoSimultaneousConnectionsShareFairly) {
   tp.servers_per_lata = 3;
   Harness h(tp);
   auto c_stack = std::make_unique<TcpStack>(h.engine, h.topo->server_nic(2),
-                                            TcpParams{}, TcpCostModel{}, free_cpu());
+                                            TcpParams{}, TcpCostModel{}, nullptr);
   auto& listener = h.b->listen(5000);
   std::array<sim::Bytes, 2> got{};
   sim::spawn([](Listener& l, std::array<sim::Bytes, 2>& got) -> sim::Task<void> {

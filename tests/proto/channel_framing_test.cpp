@@ -10,10 +10,6 @@
 namespace dclue::proto {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 struct Harness {
   sim::Engine engine;
   std::unique_ptr<net::Topology> topo;
@@ -25,10 +21,10 @@ struct Harness {
     topo = std::make_unique<net::Topology>(engine, tp);
     a = std::make_unique<net::TcpStack>(engine, topo->server_nic(0),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
+                                        nullptr);
     b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
+                                        nullptr);
   }
 };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/processor.hpp"
 #include "net/tcp.hpp"
 #include "net/topology.hpp"
 #include "proto/iscsi.hpp"
@@ -10,13 +11,13 @@
 namespace dclue::proto {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
-/// Minimal initiator/target pair with a configurable CPU-charge hook.
+/// Minimal initiator/target pair, optionally charging its iSCSI path lengths
+/// to a simulated CPU.
 struct Harness {
   sim::Engine engine;
+  cpu::PlatformParams platform;
+  cpu::MemorySystem mem{platform};
+  cpu::Processor proc{engine, platform, mem};  ///< serves both ends
   std::unique_ptr<net::Topology> topo;
   std::unique_ptr<net::TcpStack> a;
   std::unique_ptr<net::TcpStack> b;
@@ -32,20 +33,13 @@ struct Harness {
     topo = std::make_unique<net::Topology>(engine, tp);
     a = std::make_unique<net::TcpStack>(engine, topo->server_nic(0),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
+                                        nullptr);
     b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
-    // Optionally charge protocol path lengths as real simulated time
-    // (1 instruction per 3.2 GHz cycle).
-    net::CpuCharge charge =
-        timed_cpu ? net::CpuCharge([this](sim::PathLength pl,
-                                          cpu::JobClass) -> sim::Task<void> {
-          co_await sim::delay_for(engine, pl / 3.2e9);
-        })
-                  : free_cpu();
-    target = std::make_unique<IscsiTarget>(engine, disk, charge, costs);
-    initiator = std::make_unique<IscsiInitiator>(engine, charge, costs);
+                                        nullptr);
+    cpu::Processor* host_cpu = timed_cpu ? &proc : nullptr;
+    target = std::make_unique<IscsiTarget>(engine, disk, host_cpu, costs);
+    initiator = std::make_unique<IscsiInitiator>(engine, host_cpu, costs);
     auto& listener = b->listen(3260);
     sim::spawn([](Harness& h, net::Listener& l) -> sim::Task<void> {
       auto conn = co_await l.accept();

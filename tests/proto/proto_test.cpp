@@ -9,10 +9,6 @@
 namespace dclue::proto {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 struct Harness {
   sim::Engine engine;
   std::unique_ptr<net::Topology> topo;
@@ -24,10 +20,10 @@ struct Harness {
     topo = std::make_unique<net::Topology>(engine, tp);
     a = std::make_unique<net::TcpStack>(engine, topo->server_nic(0),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
+                                        nullptr);
     b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                         net::TcpParams{}, net::TcpCostModel{},
-                                        free_cpu());
+                                        nullptr);
   }
 
   /// Establish a connection pair and return both channels.
@@ -118,8 +114,8 @@ TEST(MsgChannel, BidirectionalTraffic) {
 
 struct IscsiHarness : Harness {
   storage::Disk disk{engine, "remote-disk", storage::DiskParams{}};
-  IscsiTarget target{engine, disk, free_cpu(), IscsiCostModel::hardware()};
-  IscsiInitiator initiator{engine, free_cpu(), IscsiCostModel::hardware()};
+  IscsiTarget target{engine, disk, nullptr, IscsiCostModel::hardware()};
+  IscsiInitiator initiator{engine, nullptr, IscsiCostModel::hardware()};
 
   IscsiHarness() {
     auto [client_ch, server_ch] = connect_channels(3260);
@@ -197,9 +193,9 @@ TEST(Ftp, TransfersCompleteAndCarryBytes) {
   sim::Engine engine;
   net::Topology topo(engine, tp);
   net::TcpStack server_stack(engine, topo.extra_server_nic(0), net::TcpParams{},
-                             net::TcpCostModel{}, free_cpu());
+                             net::TcpCostModel{}, nullptr);
   net::TcpStack client_stack(engine, topo.extra_client_nic(0), net::TcpParams{},
-                             net::TcpCostModel{}, free_cpu());
+                             net::TcpCostModel{}, nullptr);
   FtpServer server(engine, server_stack, 21);
   FtpTrafficParams params;
   params.offered_load_bps = sim::mbps(50);
@@ -221,7 +217,7 @@ TEST(Ftp, ZeroLoadGeneratesNothing) {
   sim::Engine engine;
   net::Topology topo(engine, tp);
   net::TcpStack client_stack(engine, topo.extra_client_nic(0), net::TcpParams{},
-                             net::TcpCostModel{}, free_cpu());
+                             net::TcpCostModel{}, nullptr);
   FtpTrafficParams params;
   params.offered_load_bps = 0.0;
   FtpClient client(engine, client_stack,

@@ -22,10 +22,6 @@
 namespace dclue::proto {
 namespace {
 
-net::CpuCharge free_cpu() {
-  return [](sim::PathLength, cpu::JobClass) -> sim::Task<void> { co_return; };
-}
-
 /// Two servers in one LATA, each carrying both stacks behind the Transport
 /// interface — the test body only ever sees net::Transport.
 struct Harness {
@@ -47,10 +43,10 @@ struct Harness {
     rdma_params.max_retransmits = 3;
     tcp_a = std::make_unique<net::TcpStack>(engine, topo->server_nic(0),
                                             tcp_params, net::TcpCostModel{},
-                                            free_cpu());
+                                            nullptr);
     tcp_b = std::make_unique<net::TcpStack>(engine, topo->server_nic(1),
                                             tcp_params, net::TcpCostModel{},
-                                            free_cpu());
+                                            nullptr);
     rdma_a = std::make_unique<net::RdmaStack>(engine, topo->server_nic(0),
                                               rdma_params);
     rdma_b = std::make_unique<net::RdmaStack>(engine, topo->server_nic(1),
@@ -222,8 +218,8 @@ TEST_P(TransportLifecycle, ResetDeliversResetSentinel) {
 TEST_P(TransportLifecycle, ChannelResetFailsAllPendingRpcs) {
   Harness h(GetParam());
   core::NodeStats stats_a, stats_b;
-  cluster::IpcService ipc_a(h.engine, 0, stats_a, 0.0, free_cpu());
-  cluster::IpcService ipc_b(h.engine, 1, stats_b, 0.0, free_cpu());
+  cluster::IpcService ipc_a(h.engine, 0, stats_a, 0.0, nullptr);
+  cluster::IpcService ipc_b(h.engine, 1, stats_b, 0.0, nullptr);
   auto& listener = h.b->listen(7000);
   sim::spawn([](net::Listener& l, cluster::IpcService& ipc) -> sim::Task<void> {
     auto conn = co_await l.accept();
