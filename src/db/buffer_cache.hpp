@@ -56,12 +56,6 @@ class BufferCache {
   /// returned so the coherence layer can notify their directory.
   EvictedList insert(PageId page, PageMode mode);
 
-  /// Promote a resident page to exclusive (after coherence permission).
-  void upgrade(PageId page) {
-    auto it = map_.find(page);
-    if (it != map_.end()) slab_[it->value].mode = PageMode::kExclusive;
-  }
-
   /// Invalidate (remote node took exclusive ownership).
   bool invalidate(PageId page) {
     auto it = map_.find(page);

@@ -13,7 +13,6 @@
 
 #include "db/buffer_cache.hpp"
 #include "db/table.hpp"
-#include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/obs/stats.hpp"
 #include "sim/small_vec.hpp"
@@ -24,9 +23,8 @@ using Timestamp = std::uint64_t;
 
 class VersionManager {
  public:
-  VersionManager(sim::Engine& engine, sim::Bytes overflow_capacity,
-                 BufferCache& cache)
-      : engine_(engine), capacity_(overflow_capacity), cache_(cache) {}
+  VersionManager(sim::Bytes overflow_capacity, BufferCache& cache)
+      : capacity_(overflow_capacity), cache_(cache) {}
 
   /// Record a new version of (page, subpage) of \p bytes at commit time \p ts.
   void create_version(PageId page, int subpage, Timestamp ts, sim::Bytes bytes) {
@@ -88,7 +86,7 @@ class VersionManager {
     }
     in_use_ -= std::min(freed, in_use_);
     while (pages_stolen_.count() > pages_returned_.count() &&
-           capacity_ - kPageBytes > base_capacity_floor_ &&
+           capacity_ > kPageBytes &&
            in_use_ < capacity_ - 2 * kPageBytes) {
       capacity_ -= kPageBytes;
       cache_.restore_capacity(1);
@@ -110,9 +108,7 @@ class VersionManager {
   /// chains near length 1, so the heap spill is the pathological case).
   using Chain = sim::SmallVec<Timestamp, 4>;
 
-  sim::Engine& engine_;
   sim::Bytes capacity_;
-  sim::Bytes base_capacity_floor_ = 0;
   BufferCache& cache_;
   sim::FlatMap<LockName, Chain> chains_;
   sim::Bytes in_use_ = 0;

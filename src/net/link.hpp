@@ -64,7 +64,6 @@ class Link : public PacketSink {
     refresh_faulted();
   }
   void clear_degradation() { set_degradation(0.0, 0.0, 0.0, 0.0, nullptr); }
-  [[nodiscard]] bool link_down() const { return down_; }
   [[nodiscard]] std::uint64_t fault_drops() const { return fault_drops_; }
   [[nodiscard]] std::uint64_t fault_corrupts() const { return fault_corrupts_; }
 

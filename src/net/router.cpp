@@ -36,14 +36,7 @@ void Router::service_next() {
     const auto dst = static_cast<std::size_t>(pkt.dst);
     Link* out = dst < routes_.size() && routes_[dst] ? routes_[dst]
                                                      : default_route_;
-    if (out) {
-      if (params_.per_packet_latency > 0.0) {
-        engine_.after(params_.per_packet_latency,
-                      [out, p = std::move(pkt)]() mutable { out->deliver(std::move(p)); });
-      } else {
-        out->deliver(std::move(pkt));
-      }
-    }
+    if (out) out->deliver(std::move(pkt));
     service_next();
   });
 }

@@ -28,7 +28,6 @@ struct RouterParams {
   /// the 100x-scaled figure; this default is the corresponding unscaled rate
   /// (cluster configs divide by the scale factor).
   double forwarding_rate_pps = 1'000'000.0;
-  sim::Duration per_packet_latency = 0.0; ///< fixed pipeline latency
   std::size_t input_queue_packets = 2'000;
 };
 

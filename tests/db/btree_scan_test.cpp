@@ -18,7 +18,6 @@
 #include "db/mvcc.hpp"
 #include "db/table.hpp"
 #include "db/tpcc_schema.hpp"
-#include "sim/engine.hpp"
 
 namespace dclue::db {
 namespace {
@@ -143,9 +142,8 @@ TEST(BTreeScan, ScanVsMvccVisibility) {
   // paying chain_hops per (page, subpage) to skip newer versions. Commit
   // two versions of one scanned key and check the hop counts a scan at
   // snapshots before/between/after the commits would observe.
-  sim::Engine engine;
   BufferCache cache(64);
-  VersionManager versions(engine, /*overflow_capacity=*/1 << 20, cache);
+  VersionManager versions(/*overflow_capacity=*/1 << 20, cache);
   Table<YcsbRow> table(TpccSpecs::ycsb);
   for (std::int64_t k = 0; k < 64; ++k) table.insert(key_ycsb(k), YcsbRow{});
 
