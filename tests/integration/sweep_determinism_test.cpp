@@ -124,6 +124,21 @@ ClusterConfig sharded_cfg(int shards, bool parallel) {
   return cfg;
 }
 
+/// Link flaps and loss, plus disk spikes with IO errors. Crash/restart is
+/// rejected in shard mode; each link side and each node's disks draw from
+/// their own RNG stream, so faulted sharded runs stay deterministic.
+ClusterConfig faulted(ClusterConfig cfg) {
+  cfg.fault_spec =
+      "flaps=2,flap_down=0.2,drop=0.02,disk_spikes=2,disk_err=0.05";
+  cfg.measure = 4.0;
+  return cfg;
+}
+
+double disk_fault_events(const RunReport& r) {
+  const auto* m = r.registry.find("fault.disk_events");
+  return m == nullptr ? 0.0 : m->value;
+}
+
 TEST(SweepDeterminism, ShardedParallelMatchesSerialWindowsBitForBit) {
   const std::vector<ClusterConfig> serial_cfgs = {sharded_cfg(4, false)};
   const std::vector<ClusterConfig> parallel_cfgs = {sharded_cfg(4, true)};
@@ -139,12 +154,13 @@ TEST(SweepDeterminism, ShardedParallelMatchesSerialWindowsBitForBit) {
 
 TEST(SweepDeterminism, ShardCountDoesNotChangeResults) {
   // One shard (every domain on one worker) vs many: same domain-keyed event
-  // order, so bit-identical reports.
-  const std::vector<RunReport> one =
-      run_experiments({sharded_cfg(1, true)}, /*jobs=*/1);
-  const std::vector<RunReport> many =
-      run_experiments({sharded_cfg(6, true)}, /*jobs=*/1);
+  // order, so bit-identical reports, with and without faults.
+  const std::vector<RunReport> one = run_experiments(
+      {sharded_cfg(1, true), faulted(sharded_cfg(1, true))}, /*jobs=*/1);
+  const std::vector<RunReport> many = run_experiments(
+      {sharded_cfg(6, true), faulted(sharded_cfg(6, true))}, /*jobs=*/1);
   ASSERT_EQ(one.size(), many.size());
+  EXPECT_GT(disk_fault_events(one[1]), 0.0);
   for (std::size_t i = 0; i < one.size(); ++i) {
     RunReport a = one[i];
     RunReport b = many[i];
@@ -155,22 +171,16 @@ TEST(SweepDeterminism, ShardCountDoesNotChangeResults) {
 }
 
 TEST(SweepDeterminism, ShardedFaultedPointMatchesSerialWindows) {
-  // Link faults only: crash/restart is rejected in shard mode, and each link
-  // side draws from its own RNG stream so faulted runs stay deterministic.
-  ClusterConfig serial_cfg = sharded_cfg(4, false);
-  ClusterConfig parallel_cfg = sharded_cfg(4, true);
-  serial_cfg.fault_spec = parallel_cfg.fault_spec =
-      "flaps=2,flap_down=0.2,drop=0.02";
-  serial_cfg.measure = parallel_cfg.measure = 4.0;
   const std::vector<RunReport> serial =
-      run_experiments({serial_cfg}, /*jobs=*/1);
+      run_experiments({faulted(sharded_cfg(4, false))}, /*jobs=*/1);
   const std::vector<RunReport> parallel =
-      run_experiments({parallel_cfg}, /*jobs=*/1);
+      run_experiments({faulted(sharded_cfg(4, true))}, /*jobs=*/1);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i], i);
   }
   EXPECT_GT(serial[0].txns, 0.0);
+  EXPECT_GT(disk_fault_events(serial[0]), 0.0);
 }
 
 TEST(SweepDeterminism, ShardedMailboxesStopGrowing) {

@@ -1,15 +1,18 @@
-/// Open-loop client model unit battery: arrival-spec parsing, the golden
-/// Poisson inter-arrival sequence the YcsbFleet draws (pins the stream
-/// name/index contract), and hand-computed admission-queue cases — a D/D/1
-/// ramp whose admission order and depths are checked exactly, plus
+/// Open-loop client model unit battery: arrival-spec and YCSB-mix parsing,
+/// the golden Poisson inter-arrival sequence the YcsbFleet draws (pins the
+/// stream name/index contract), and hand-computed admission-queue cases — a
+/// D/D/1 ramp whose admission order and depths are checked exactly, plus
 /// bounded-queue drop accounting.
 
 #include "workload/client.hpp"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "sim/rng.hpp"
 #include "workload/admission.hpp"
+#include "workload/ycsb.hpp"
 
 namespace dclue::workload {
 namespace {
@@ -32,6 +35,37 @@ TEST(ArrivalSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_arrival_spec("poisson:0"), std::invalid_argument);
   EXPECT_THROW((void)parse_arrival_spec("fixed:-3"), std::invalid_argument);
   EXPECT_THROW((void)parse_arrival_spec(""), std::invalid_argument);
+}
+
+// --- YCSB core-workload table ------------------------------------------------
+
+TEST(YcsbMix, StandardTableAndRejections) {
+  // Weights in YcsbOpType order {read, update, insert, scan, rmw} and the
+  // default key distribution of each core workload (Cooper et al., SoCC '10).
+  const struct {
+    const char* spec;
+    std::array<double, kNumYcsbOpTypes> weights;
+    sim::KeyDist dist;
+  } table[] = {
+      {"ycsb-a", {0.50, 0.50, 0.00, 0.00, 0.00}, sim::KeyDist::kZipfian},
+      {"ycsb-b", {0.95, 0.05, 0.00, 0.00, 0.00}, sim::KeyDist::kZipfian},
+      {"ycsb-c", {1.00, 0.00, 0.00, 0.00, 0.00}, sim::KeyDist::kZipfian},
+      {"ycsb-d", {0.95, 0.00, 0.05, 0.00, 0.00}, sim::KeyDist::kLatest},
+      {"ycsb-e", {0.00, 0.00, 0.05, 0.95, 0.00}, sim::KeyDist::kZipfian},
+      {"ycsb-f", {0.50, 0.00, 0.00, 0.00, 0.50}, sim::KeyDist::kZipfian},
+  };
+  for (const auto& row : table) {
+    const YcsbMix mix = parse_ycsb_mix(row.spec);
+    EXPECT_EQ(mix.letter, row.spec[5]);
+    EXPECT_EQ(mix.weights, row.weights) << row.spec;
+    EXPECT_DOUBLE_EQ(
+        std::accumulate(mix.weights.begin(), mix.weights.end(), 0.0), 1.0)
+        << row.spec;
+    EXPECT_EQ(mix.default_dist, row.dist) << row.spec;
+  }
+  for (const char* spec : {"ycsb-g", "ycsb-", "ycsb-ab"}) {
+    EXPECT_THROW((void)parse_ycsb_mix(spec), std::invalid_argument) << spec;
+  }
 }
 
 // --- golden Poisson inter-arrivals ------------------------------------------
