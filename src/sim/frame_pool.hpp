@@ -2,12 +2,12 @@
 
 /// \file frame_pool.hpp
 /// Size-class freelist for coroutine frames. Every simulated packet spawns
-/// short-lived coroutines (`TcpStack::rx_process`, the CpuCharge task, ack
-/// senders via `spawn`); with the default allocator each of those is a
-/// malloc/free pair on the hot path. Frames recycle through this pool
-/// instead: a frame of size n maps to the 64-byte size class that covers
-/// it, frees push onto an intrusive per-class freelist, and the next
-/// same-class allocation pops in O(1) with no heap traffic.
+/// short-lived coroutines (`TcpStack::rx_process`, ack senders via `spawn`);
+/// with the default allocator each of those is a malloc/free pair on the
+/// hot path. Frames recycle through this pool instead: a frame of size n
+/// maps to the 64-byte size class that covers it, frees push onto an
+/// intrusive per-class freelist, and the next same-class allocation pops in
+/// O(1) with no heap traffic.
 ///
 /// The pool is thread-local, which gives two properties for free: no
 /// synchronization on the fast path, and parallel sweep workers (see

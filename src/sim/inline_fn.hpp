@@ -2,9 +2,9 @@
 
 /// \file inline_fn.hpp
 /// Small-buffer-only callable. `std::function` on the per-segment path
-/// (NIC rx handler, CpuCharge, TCP rx handler) costs a potential heap
-/// allocation at assignment and a double indirection per call; every
-/// callable actually installed there captures a pointer or two. InlineFn
+/// (NIC rx handler, TCP rx handler) costs a potential heap allocation at
+/// assignment and a double indirection per call; every callable actually
+/// installed there captures a pointer or two. InlineFn
 /// reuses the engine arena's inline-callback technique (DESIGN.md §"Engine
 /// internals") as a standalone type: the callable lives in a fixed inline
 /// buffer, invocation is one indirect call, and there is no heap fallback —
