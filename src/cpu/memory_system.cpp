@@ -50,7 +50,6 @@ void MemorySystem::note_instructions(JobClass cls, double instructions) {
     for (auto& v : instr_by_class_) v *= 0.5;
     instr_total_ *= 0.5;
   }
-  dirty_ = true;
 }
 
 double MemorySystem::eviction_fraction(double threads) const {
@@ -128,11 +127,10 @@ void MemorySystem::recompute() {
   double instr_rate = busy * params_.freq_hz / cpi;
   last_dbus_util_ = std::min(instr_rate * mpi * params_.data_bus_s, 1.0);
   last_mpi_ = mpi;
-  dirty_ = false;
 }
 
 double MemorySystem::effective_cpi(JobClass cls) {
-  if (dirty_) recompute();
+  recompute();
   return cpi_by_class_[static_cast<int>(cls)];
 }
 

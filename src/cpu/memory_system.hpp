@@ -9,9 +9,10 @@
 ///
 /// The effective CPI is a fixed point: more stalls -> higher CPI -> lower
 /// instruction (and therefore miss) rate -> less bus queueing -> fewer
-/// stalls. It is solved to convergence by bracketed Newton iteration each
-/// time the inputs (busy cores, active threads, class mix) change, starting
-/// from the same guess every time, so the CPI is a pure function of them.
+/// stalls. It is solved to convergence by bracketed Newton iteration every
+/// time it is asked for, starting from the same guess every time, so the
+/// CPI is a pure function of the inputs (busy cores, active threads, class
+/// mix).
 
 #include <array>
 
@@ -24,7 +25,7 @@ class MemorySystem {
   explicit MemorySystem(const PlatformParams& params) : params_(params) {}
 
   /// Effective cycles-per-instruction for work of class \p cls given the
-  /// current platform state. Cached; recomputed when state changes.
+  /// current platform state, solved afresh on every call.
   double effective_cpi(JobClass cls);
 
   /// Cost in cycles of dispatching a different thread than the one that ran
@@ -36,18 +37,8 @@ class MemorySystem {
   [[nodiscard]] double eviction_fraction(double threads) const;
 
   /// --- state notifications from the processor ---------------------------
-  void set_busy_cores(int n) {
-    if (n != busy_cores_) {
-      busy_cores_ = n;
-      dirty_ = true;
-    }
-  }
-  void set_active_threads(double n) {
-    if (n != active_threads_) {
-      active_threads_ = n;
-      dirty_ = true;
-    }
-  }
+  void set_busy_cores(int n) { busy_cores_ = n; }
+  void set_active_threads(double n) { active_threads_ = n; }
   /// Record executed instructions so the class blend tracks actual work.
   void note_instructions(JobClass cls, double instructions);
 
@@ -68,7 +59,6 @@ class MemorySystem {
   std::array<double, kNumJobClasses> instr_by_class_{};
   double instr_total_ = 0.0;
 
-  bool dirty_ = true;
   std::array<double, kNumJobClasses> cpi_by_class_{};
   double last_latency_s_ = 0.0;
   double last_dbus_util_ = 0.0;

@@ -114,7 +114,6 @@ class BufferCache {
   struct Entry {
     PageId page = 0;
     std::uint32_t prev = kNil, next = kNil;  ///< recency list
-    std::uint32_t map_idx = 0;  ///< this page's slot in map_ (see refresh_map_indices)
     PageMode mode = PageMode::kShared;
   };
 
@@ -164,14 +163,6 @@ class BufferCache {
     free_.push_back(idx);
   }
 
-  /// Rebuild every entry's stored map slot index after a map rehash. Every
-  /// map entry must already hold its slab index.
-  void refresh_map_indices() {
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      slab_[it->value].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
-    }
-  }
-
   std::uint32_t alloc_entry(PageId page, PageMode mode) {
     std::uint32_t idx;
     if (!free_.empty()) {
@@ -197,33 +188,20 @@ class BufferCache {
 
 inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) {
   EvictedList evicted;
-  // Erases never move slots, so each entry's stored map slot stays valid
-  // until a rehash: the growth below, or a tombstone flush inside
-  // try_emplace, which can run before it finds a resident key. After one,
-  // every stored slot is re-derived, once the new entry is recorded.
-  const std::uint64_t rehashes = map_.rehashes();
   auto [it, inserted] = map_.try_emplace(page, 0);
   if (!inserted) {
     // Resident: one probe covers the hit — upgrade in place and re-rank.
     const std::uint32_t idx = it->value;
-    if (map_.rehashes() != rehashes) refresh_map_indices();
     if (mode == PageMode::kExclusive) slab_[idx].mode = PageMode::kExclusive;
     lru_.move_to_tail(slab_, idx);
     return evicted;
   }
-  // Assign the slab slot and record where the map put this page before
-  // evicting: the recorded index lets eviction erase its victim without
-  // re-probing (see evict_one).
+  // Store the slab index while `it` is valid: the reserve below can rehash.
   const std::uint32_t idx = alloc_entry(page, mode);
   it->value = idx;
   // Grow with residency: twice the resident count keeps the map under 7/16
   // full, where nearly every lookup ends in its home group.
   if (map_.size() * 16 > map_.capacity() * 7) map_.reserve(2 * map_.size());
-  if (map_.rehashes() != rehashes) {
-    refresh_map_indices();
-  } else {
-    slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
-  }
   while (map_.size() > capacity_) {
     PageId victim = evict_one();  // never the new page: it is list-linked below
     if (victim == 0) break;  // nothing else resident (capacity 0)
@@ -238,9 +216,8 @@ inline PageId BufferCache::evict_one() {
   if (idx == kNil) return 0;
   evict_scans_.record();
   const PageId victim = slab_[idx].page;
-  const std::uint32_t map_idx = slab_[idx].map_idx;
   drop_entry(idx);
-  map_.erase_at(map_idx);  // no re-probe, no cold slot-line read
+  map_.erase(victim);
   return victim;
 }
 

@@ -32,11 +32,7 @@ void Link::start_transmission() {
   }
   transmitting_ = true;
   busy_.record(engine_.now(), 1.0);
-  if (pkt->bytes != tx_memo_bytes_) {
-    tx_memo_bytes_ = pkt->bytes;
-    tx_memo_time_ = sim::transmission_time(pkt->bytes, rate_);
-  }
-  const sim::Duration tx = tx_memo_time_;
+  const sim::Duration tx = sim::transmission_time(pkt->bytes, rate_);
   bytes_sent_.record(static_cast<std::uint64_t>(pkt->bytes));
   // Delivery happens after serialization plus propagation; the transmitter
   // frees up after serialization alone. A degraded link stretches delivery

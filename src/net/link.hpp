@@ -100,12 +100,6 @@ class Link : public PacketSink {
   sim::Duration propagation_;
   OutputQueue queue_;
   PacketSink* sink_ = nullptr;
-  /// Serialization-time memo: traffic is almost entirely two packet sizes
-  /// (full MSS data and header-only acks), so one cached division covers the
-  /// vast majority of transmissions. The cached value is the result of the
-  /// exact same transmission_time() expression, so timing is bit-identical.
-  sim::Bytes tx_memo_bytes_ = -1;
-  sim::Duration tx_memo_time_ = 0.0;
   bool transmitting_ = false;
   obs::TimeWeightedAvg busy_;
   obs::Counter bytes_sent_;

@@ -79,36 +79,40 @@ Topology::Topology(sim::Engine& engine, const TopologyParams& params,
   for (int lata = 0; lata < params_.latas; ++lata) {
     for (int s = 0; s < params_.servers_per_lata; ++s) {
       const int global = lata * params_.servers_per_lata + s;
-      Nic* nic = attach_host(*inner_routers_[lata], "srv", lata * 100 + s,
-                             /*register_on_outer=*/true,
-                             domains->server[global], domains->lata[lata]);
-      server_nics_.push_back(nic);
-      server_uplinks_.push_back(last_attached_up_);
-      server_downlinks_.push_back(last_attached_down_);
+      const Attached host =
+          attach_host(*inner_routers_[lata], "srv", lata * 100 + s,
+                      /*register_on_outer=*/true, domains->server[global],
+                      domains->lata[lata]);
+      server_nics_.push_back(host.nic);
+      server_uplinks_.push_back(host.up);
+      server_downlinks_.push_back(host.down);
     }
     for (int s = 0; s < params_.extra_servers_per_lata; ++s) {
       const int global = lata * params_.extra_servers_per_lata + s;
-      Nic* nic = attach_host(*inner_routers_[lata], "xsrv", lata * 100 + s,
-                             /*register_on_outer=*/true,
-                             domains->extra_server[global],
-                             domains->lata[lata]);
-      extra_server_nics_.push_back(nic);
+      extra_server_nics_.push_back(
+          attach_host(*inner_routers_[lata], "xsrv", lata * 100 + s,
+                      /*register_on_outer=*/true,
+                      domains->extra_server[global], domains->lata[lata])
+              .nic);
     }
   }
   for (int c = 0; c < params_.client_hosts; ++c) {
     client_nics_.push_back(attach_host(*outer_router_, "cli", c, false,
-                                       domains->client[c], domains->outer));
+                                       domains->client[c], domains->outer)
+                               .nic);
   }
   for (int c = 0; c < params_.extra_client_hosts; ++c) {
     extra_client_nics_.push_back(
         attach_host(*outer_router_, "xcli", c, false,
-                    domains->extra_client[c], domains->outer));
+                    domains->extra_client[c], domains->outer)
+            .nic);
   }
 }
 
-Nic* Topology::attach_host(Router& router, const char* name_prefix, int index,
-                           bool register_on_outer, int host_domain,
-                           int router_domain) {
+Topology::Attached Topology::attach_host(Router& router,
+                                         const char* name_prefix, int index,
+                                         bool register_on_outer,
+                                         int host_domain, int router_domain) {
   const Address addr = next_address_++;
   const std::string base = std::string(name_prefix) + std::to_string(index);
   auto up = std::make_unique<Link>(domain_engine(host_domain), base + "-up",
@@ -131,13 +135,11 @@ Nic* Topology::attach_host(Router& router, const char* name_prefix, int index,
       }
     }
   }
-  Nic* raw = nic.get();
-  last_attached_up_ = up.get();
-  last_attached_down_ = down.get();
+  const Attached attached{nic.get(), up.get(), down.get()};
   links_.push_back(std::move(up));
   links_.push_back(std::move(down));
   nics_.push_back(std::move(nic));
-  return raw;
+  return attached;
 }
 
 std::uint64_t Topology::total_drops() const {

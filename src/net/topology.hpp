@@ -96,11 +96,19 @@ class Topology {
   void register_metrics(obs::MetricsRegistry& reg);
 
  private:
+  /// A host's NIC and its duplex pair (up: host->router, down: router->host).
+  struct Attached {
+    Nic* nic;
+    Link* up;
+    Link* down;
+  };
+
   /// Create a host NIC dual-linked to \p router, registering its route.
   /// \p host_domain / \p router_domain place the duplex pair's endpoints for
   /// sharded runs (equal in the legacy single-engine build).
-  Nic* attach_host(Router& router, const char* name_prefix, int index,
-                   bool register_on_outer, int host_domain, int router_domain);
+  Attached attach_host(Router& router, const char* name_prefix, int index,
+                       bool register_on_outer, int host_domain,
+                       int router_domain);
 
   /// Engine owning \p domain (the single build engine when not sharded).
   [[nodiscard]] sim::Engine& domain_engine(int domain);
@@ -121,8 +129,6 @@ class Topology {
   std::vector<Link*> lata_downlinks_;
   std::vector<Link*> server_uplinks_;
   std::vector<Link*> server_downlinks_;
-  Link* last_attached_up_ = nullptr;    ///< set by attach_host
-  Link* last_attached_down_ = nullptr;  ///< set by attach_host
   std::vector<Nic*> server_nics_;
   std::vector<Nic*> client_nics_;
   std::vector<Nic*> extra_client_nics_;

@@ -8,10 +8,10 @@
 /// established, closing, closed), both sequence spaces and their close
 /// markers, the retry timer's backoff and the Jacobson/Karn RTT estimate,
 /// in-order delivery with buffering until a handler exists, the reset and
-/// EOF callbacks, and the table with its demux cache and deferred erase all
-/// live here. The two stacks derive from them and add only a wire protocol:
-/// TcpStack (net/tcp.hpp), the paper's unified fabric and the golden
-/// baseline, and RdmaStack (net/rdma.hpp), the kernel-bypass model. The
+/// EOF callbacks, and the table with its deferred erase all live here. The
+/// two stacks derive from them and add only a wire protocol: TcpStack
+/// (net/tcp.hpp), the paper's unified fabric and the golden baseline, and
+/// RdmaStack (net/rdma.hpp), the kernel-bypass model. The
 /// protocol layers above (proto::MsgChannel, cluster::IpcService,
 /// proto::Iscsi) speak only Endpoint and Transport, so the cluster runs on
 /// either fabric without touching them.
@@ -340,19 +340,12 @@ class Transport {
     endpoints_[id] = std::move(ep);
   }
 
-  /// Demultiplex: the endpoint registered under \p id, or null. Consecutive
-  /// segments almost always belong to the same connection, so a one-entry
-  /// cache in front of the table covers the bulk-transfer case. The raw
+  /// Demultiplex: the endpoint registered under \p id, or null. The raw
   /// pointer stays valid while the segment is processed: teardown only
   /// schedules the erase (see remove).
   [[nodiscard]] Endpoint* find(std::uint64_t id) {
-    if (id != last_id_ || last_ == nullptr) {
-      auto it = endpoints_.find(id);
-      if (it == endpoints_.end()) return nullptr;
-      last_id_ = id;
-      last_ = it->value.get();
-    }
-    return last_;
+    auto it = endpoints_.find(id);
+    return it == endpoints_.end() ? nullptr : it->value.get();
   }
 
   /// The listener on \p port, or null when nothing listens there.
@@ -367,18 +360,13 @@ class Transport {
   /// Erase \p id from the table. Deferred through the engine so that any
   /// in-flight processing of the endpoint finishes first.
   void remove(std::uint64_t id) {
-    engine_.after(0.0, [this, id] {
-      if (last_id_ == id) last_ = nullptr;
-      endpoints_.erase(id);
-    });
+    engine_.after(0.0, [this, id] { endpoints_.erase(id); });
   }
 
   sim::Engine& engine_;
   TransportKind kind_;
   sim::FlatMap<std::uint64_t, std::shared_ptr<Endpoint>> endpoints_;
   sim::FlatMap<std::uint16_t, std::unique_ptr<Listener>> listeners_;
-  std::uint64_t last_id_ = 0;  ///< demux cache key; last_ is its endpoint
-  Endpoint* last_ = nullptr;
 };
 
 inline Endpoint::Endpoint(Transport& transport, std::uint64_t id, Address peer,

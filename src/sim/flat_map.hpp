@@ -188,9 +188,6 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Rehashes so far, growing or in place (a tombstone flush keeps the
-  /// capacity but still moves every slot).
-  [[nodiscard]] std::uint64_t rehashes() const { return rehashes_; }
   [[nodiscard]] const ProbeStats& probe_stats() const { return probes_; }
 
   [[nodiscard]] iterator find(const Key& key) {
@@ -269,22 +266,6 @@ class FlatMap {
   void erase_compact(iterator it) {
     assert(it.map_ == this && is_full(ctrl_[it.i_]));
     erase_slot(it.i_);
-  }
-
-  /// Stable slot index of \p it, valid until the next rehash (erases never
-  /// move slots). Callers that key other structures by slot index must
-  /// re-derive whenever rehashes() changes.
-  [[nodiscard]] std::size_t index_of(const_iterator it) const {
-    return it.i_;
-  }
-  [[nodiscard]] std::size_t index_of(iterator it) const { return it.i_; }
-
-  /// Erase by stored slot index (see index_of): no probe, and for trivially
-  /// destructible slots no read of the slot line at all — the eviction path
-  /// uses this to skip one cold cache miss per victim.
-  void erase_at(std::size_t i) {
-    assert(i < capacity_ && is_full(ctrl_[i]));
-    erase_slot(i);
   }
 
   /// Erase at \p it; returns an iterator to the next occupied slot, so
@@ -408,7 +389,6 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_capacity) {
-    ++rehashes_;
     std::uint8_t* old_ctrl = ctrl_;
     Slot* old_slots = slots_;
     const std::size_t old_capacity = capacity_;
@@ -473,7 +453,6 @@ class FlatMap {
     gmask_ = std::exchange(o.gmask_, 0);
     size_ = std::exchange(o.size_, 0);
     filled_ = std::exchange(o.filled_, 0);
-    rehashes_ = std::exchange(o.rehashes_, 0);
     probes_ = std::exchange(o.probes_, ProbeStats{});
   }
 
@@ -484,7 +463,6 @@ class FlatMap {
   std::size_t gmask_ = 0;  ///< group count - 1
   std::size_t size_ = 0;
   std::size_t filled_ = 0;  ///< occupied + tombstoned slots
-  std::uint64_t rehashes_ = 0;
   mutable ProbeStats probes_;
 };
 

@@ -181,18 +181,30 @@ struct FixedPoint {
   }
 };
 
+/// Note each class's instructions of \p mix once.
+void note_mix(MemorySystem& mem, const Mix& mix) {
+  for (int c = 0; c < kNumJobClasses; ++c) {
+    if (mix.instr[c] > 0.0) mem.note_instructions(static_cast<JobClass>(c), mix.instr[c]);
+  }
+}
+
+/// A freshly built MemorySystem at (\p busy, \p threads) with \p mix noted.
+MemorySystem fresh_at(const PlatformParams& params, const Mix& mix, int busy,
+                      double threads) {
+  MemorySystem mem{params};
+  mem.set_busy_cores(busy);
+  mem.set_active_threads(threads);
+  note_mix(mem, mix);
+  return mem;
+}
+
 /// Solve through MemorySystem and return the blended CPI,
 /// sum over classes of class share * effective_cpi.
 double blended_cpi(const PlatformParams& params, const Mix& mix, int busy,
                    double threads) {
-  MemorySystem mem{params};
-  mem.set_busy_cores(busy);
-  mem.set_active_threads(threads);
+  MemorySystem mem = fresh_at(params, mix, busy, threads);
   double total = 0.0;
-  for (int c = 0; c < kNumJobClasses; ++c) {
-    if (mix.instr[c] > 0.0) mem.note_instructions(static_cast<JobClass>(c), mix.instr[c]);
-    total += mix.instr[c];
-  }
+  for (double v : mix.instr) total += v;
   double cpi = 0.0;
   for (int c = 0; c < kNumJobClasses; ++c) {
     cpi += mix.instr[c] / total * mem.effective_cpi(static_cast<JobClass>(c));
@@ -206,14 +218,28 @@ FixedPoint model_for(const Fixture& f, const Mix& mix, int busy, double threads)
 }
 
 TEST(MemorySystem, CpiSatisfiesFixedPointAcrossGrid) {
+  // One more input: a single instance walks the whole grid, and at every
+  // point each class's CPI equals a fresh instance's. The CPI is a function
+  // of the state, never of the call history.
   Fixture f;
   for (const Mix& mix : kMixes) {
+    MemorySystem walker{f.params};
+    note_mix(walker, mix);
     for (int busy : {1, 2}) {
       for (int threads : kThreadGrid) {
         const double cpi = blended_cpi(f.params, mix, busy, threads);
         const FixedPoint m = model_for(f, mix, busy, threads);
         EXPECT_LE(std::abs(m.h(cpi)) / cpi, 1e-12)
             << mix.name << " busy=" << busy << " threads=" << threads;
+        walker.set_busy_cores(busy);
+        walker.set_active_threads(threads);
+        MemorySystem fresh = fresh_at(f.params, mix, busy, threads);
+        for (int c = 0; c < kNumJobClasses; ++c) {
+          const auto cls = static_cast<JobClass>(c);
+          EXPECT_EQ(walker.effective_cpi(cls), fresh.effective_cpi(cls))
+              << mix.name << " busy=" << busy << " threads=" << threads
+              << " class=" << c;
+        }
       }
     }
   }

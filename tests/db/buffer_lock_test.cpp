@@ -79,8 +79,8 @@ TEST(BufferCache, EvictionCostBoundedWithPinnedColdFront) {
 
 TEST(BufferCache, RehashKeepsEvictionOnTheRightPage) {
   // Restored capacity lets residency outgrow the cache's construction size,
-  // so the map rehashes under inserts. Eviction erases each victim through
-  // its stored map slot, which every rehash must re-derive.
+  // so the map rehashes under inserts, and every eviction must still drop
+  // the coldest page and only it.
   constexpr std::size_t kCap = 64 + 1000;
   constexpr std::size_t kInserts = 3000;
   BufferCache c(64);

@@ -128,51 +128,22 @@ TEST(FlatMap, EraseDuringIterationVisitsSurvivorsExactlyOnce) {
   }
 }
 
-TEST(FlatMap, EraseAtStoredIndexMatchesEraseByKey) {
-  // The buffer-cache eviction path stores index_of() at insert time and
-  // erases victims by index without re-probing; indices must stay valid
-  // across other erases (slots never move outside a rehash).
-  FlatMap<std::uint64_t, int> m;
-  m.reserve(256);
-  std::vector<std::size_t> idx(256);
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    auto [it, inserted] = m.try_emplace(i * 13, static_cast<int>(i));
-    ASSERT_TRUE(inserted);
-    idx[i] = m.index_of(it);
-  }
-  for (std::uint64_t i = 0; i < 256; i += 2) m.erase_at(idx[i]);
-  EXPECT_EQ(m.size(), 128u);
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    EXPECT_EQ(m.contains(i * 13), i % 2 == 1) << i;
-  }
-  // Surviving stored indices still address their entries.
-  for (std::uint64_t i = 1; i < 256; i += 2) {
-    auto it = m.find(i * 13);
-    ASSERT_NE(it, m.end());
-    EXPECT_EQ(m.index_of(it), idx[i]);
-  }
-}
-
 /// Every key hashes to group 0, so keys fill the groups in insertion order.
 struct OneGroupHash {
   std::uint64_t operator()(std::uint64_t) const { return 0; }
 };
 
-TEST(FlatMap, InPlaceTombstoneFlushCountsAsRehash) {
-  // A tombstone flush keeps the capacity but moves slots, so callers that
-  // store slot indices watch rehashes(), not capacity().
+TEST(FlatMap, InPlaceTombstoneFlushKeepsCapacity) {
+  // An insert at the load cap with few live keys flushes the tombstones in
+  // place instead of growing.
   FlatMap<std::uint64_t, int, OneGroupHash> m;
   for (std::uint64_t k = 0; k < 28; ++k) m.try_emplace(k, 0);
   ASSERT_EQ(m.capacity(), 32u);
   // Group 0 is packed, so erasing its 16 keys leaves 16 tombstones and the
   // map at its 7/8 cap of non-empty slots with 12 live keys.
   for (std::uint64_t k = 0; k < 16; ++k) ASSERT_EQ(m.erase(k), 1u);
-  const std::uint64_t rehashes = m.rehashes();
-  const std::size_t slot = m.index_of(m.find(20));
   m.try_emplace(100, 0);
   EXPECT_EQ(m.capacity(), 32u);
-  EXPECT_EQ(m.rehashes(), rehashes + 1);
-  EXPECT_NE(m.index_of(m.find(20)), slot);
   EXPECT_EQ(m.size(), 13u);
 }
 

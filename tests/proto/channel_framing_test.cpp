@@ -44,12 +44,12 @@ TEST(ChannelFraming, LargeMessageDeliveredOnlyWhenComplete) {
   auto client = std::make_shared<MsgChannel>(conn);
 
   sim::Time small_at = 0.0, big_at = 0.0;
-  sim::spawn([](Harness& h, std::shared_ptr<net::Endpoint> conn,
+  sim::spawn([](std::shared_ptr<net::Endpoint> conn,
                 std::shared_ptr<MsgChannel> client) -> sim::Task<void> {
     co_await conn->established().wait();
     client->send(Message{1, 250, nullptr, 0.0});
     client->send(Message{2, 500'000, nullptr, 0.0});  // ~0.4s at 10 Mb/s
-  }(h, conn, client));
+  }(conn, client));
   sim::spawn([](Harness& h, std::shared_ptr<MsgChannel>* server, sim::Time& s,
                 sim::Time& b) -> sim::Task<void> {
     while (!*server) co_await sim::delay_for(h.engine, 1e-3);
