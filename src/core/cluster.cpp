@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "cluster/partition.hpp"
 #include "core/fault_injector.hpp"
@@ -12,6 +13,12 @@
 namespace dclue::core {
 
 Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)), rngs_(cfg_.seed) {
+  if (cfg_.nodes > cluster::DirectoryService::kMaxNodes) {
+    throw std::invalid_argument(
+        "cfg.nodes must be at most " +
+        std::to_string(cluster::DirectoryService::kMaxNodes) +
+        ": directory holder ids are 16-bit");
+  }
   if (cfg_.shards > 0) plan_shards();
   db::TpccScale scale;
   scale.warehouses = cfg_.warehouses();
@@ -600,29 +607,44 @@ void Cluster::prewarm() {
   // A real deployment measures steady state, not a cold cache; faulting the
   // working set through the 100x-slowed disks would consume the entire run.
   // Each page warms at its directory home, which also records the holder.
+  // Pages are grouped by home in table order, so each node sees the same
+  // inserts in the same order (its LRU order) as a page-by-page pass, and
+  // its cache map and directory are sized once for them.
   const cluster::PartitionMap pm(*db_, cfg_.nodes);
-  auto warm = [this, &pm](db::PageId page) {
-    const int home = pm.home_of_page(page);
-    auto& node = *nodes_[static_cast<std::size_t>(home)];
-    if (node.cache().size() * 10 >= node.cache().capacity() * 9) return;
-    node.cache().insert(page, db::PageMode::kShared);
-    node.directory().confirm(page, home);
+  std::vector<std::vector<db::PageId>> homed(nodes_.size());
+  auto collect = [&homed, &pm](db::PageId page) {
+    homed[static_cast<std::size_t>(pm.home_of_page(page))].push_back(page);
   };
   // A table's data pages, then its index leaf pages, each in key order.
-  auto warm_table = [&warm](const auto& table) {
-    table.for_each_data_page(warm);
-    table.for_each_index_page(warm);
+  auto collect_table = [&collect](const auto& table) {
+    table.for_each_data_page(collect);
+    table.for_each_index_page(collect);
   };
+  collect_table(db_->warehouse);
+  collect_table(db_->district);
+  collect_table(db_->item);
+  collect_table(db_->stock);
+  collect_table(db_->new_order);
+  collect_table(db_->order);
+  collect_table(db_->order_line);
+  collect_table(db_->customer);
+  if (db_->ycsb) collect_table(*db_->ycsb);
 
-  warm_table(db_->warehouse);
-  warm_table(db_->district);
-  warm_table(db_->item);
-  warm_table(db_->stock);
-  warm_table(db_->new_order);
-  warm_table(db_->order);
-  warm_table(db_->order_line);
-  warm_table(db_->customer);
-  if (db_->ycsb) warm_table(*db_->ycsb);
+  for (std::size_t home = 0; home < homed.size(); ++home) {
+    std::vector<db::PageId>& pages = homed[home];
+    Node& node = *nodes_[home];
+    // Warm a node up to 90 % of its capacity: its first ⌈0.9·capacity⌉
+    // pages (this binds only on a 1-node cluster).
+    const std::size_t n =
+        std::min(pages.size(), (node.cache().capacity() * 9 + 9) / 10);
+    node.cache().reserve(n);
+    node.directory().reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      node.cache().insert(pages[i], db::PageMode::kShared);
+      node.directory().confirm(pages[i], static_cast<int>(home));
+    }
+    std::vector<db::PageId>().swap(pages);  // release the list now
+  }
 }
 
 RunReport Cluster::run() {

@@ -35,6 +35,10 @@ class Cluster {
   /// Populate, connect, warm up, measure; returns the collected report.
   RunReport run();
 
+  /// Fill every node's buffer cache and directory with the pages it homes,
+  /// up to 90 % of its cache capacity. run() calls it first.
+  void prewarm();
+
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] db::TpccDatabase& database() { return *db_; }
 
@@ -106,7 +110,6 @@ class Cluster {
   void build_fault_injector();
   void register_metrics();
   void register_fault_metrics();
-  void prewarm();
   sim::DetachedTask connect_everything();
   void connect_all(sim::WaitGroup* wg);
   sim::Task<void> connect_pair(int i, int j, bool iscsi, sim::WaitGroup* wg);

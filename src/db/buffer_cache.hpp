@@ -8,20 +8,24 @@
 /// merely change status of the pages in question"). Hit ratios are an
 /// output of this machinery, never an input.
 ///
-/// Layout (see DESIGN.md §"DB-tier internals"): entries live in one
-/// contiguous slab threaded by one intrusive index list, the recency list
-/// (front = coldest). Eviction pops its head in O(1); `lru_evict_scans`
+/// Layout (see DESIGN.md §"DB-tier internals"): 16-byte entries live in
+/// one contiguous slab threaded by one intrusive index list, the recency
+/// list (front = coldest). Eviction pops its head in O(1); `lru_evict_scans`
 /// counts entries examined per eviction (always 1) so a regression to
-/// scanning shows up in the registry. The page→slab index map is an
-/// open-addressing sim::FlatMap, so touch / insert-hit is one probe and a
-/// few index writes, no allocation.
+/// scanning shows up in the registry. The page→slab map is an
+/// open-addressing sim::FlatMap whose value is `slab index << 1 |
+/// exclusive`, so contains() reads the map alone and touch / insert-hit is
+/// one probe and a few index writes, no allocation.
 ///
 /// Memory follows residency, not capacity: a node's capacity is a share of
 /// the whole database, but it holds only the pages its partition touches
 /// (at 729 warehouses, ~21 k of a 370 k-page capacity). The slab grows as a
 /// vector, and the map reserves twice the resident count whenever it passes
-/// 7/16 full, so a lookup stays a one-group probe.
+/// 7/16 full, so a lookup stays a one-group probe. Prewarm, which knows how
+/// many pages it will insert, sizes the map once by the same rule
+/// (reserve).
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +51,7 @@ class BufferCache {
   [[nodiscard]] bool contains(PageId page, PageMode mode) const {
     auto it = map_.find(page);
     if (it == map_.end()) return false;
-    return mode == PageMode::kShared ||
-           slab_[it->value].mode == PageMode::kExclusive;
+    return mode == PageMode::kShared || (it->value & kExclusiveBit) != 0;
   }
   [[nodiscard]] bool resident(PageId page) const { return map_.contains(page); }
 
@@ -56,11 +59,16 @@ class BufferCache {
   /// returned so the coherence layer can notify their directory.
   EvictedList insert(PageId page, PageMode mode);
 
+  /// Size the map for \p n resident pages at once by insert's own rule
+  /// (twice the count, so at most 7/16 full): n distinct inserts into an
+  /// empty cache then rehash nothing. The slab keeps growing as a vector.
+  void reserve(std::size_t n) { map_.reserve(2 * n); }
+
   /// Invalidate (remote node took exclusive ownership).
   bool invalidate(PageId page) {
     auto it = map_.find(page);
     if (it == map_.end()) return false;
-    drop_entry(it->value);
+    drop_entry(slab_index(it->value));
     map_.erase_compact(it);
     return true;
   }
@@ -73,7 +81,7 @@ class BufferCache {
     std::size_t dropped = 0;
     for (auto it = map_.begin(); it != map_.end();) {
       if (pred(it->key)) {
-        drop_entry(it->value);
+        drop_entry(slab_index(it->value));
         it = map_.erase(it);
         ++dropped;
       } else {
@@ -87,7 +95,7 @@ class BufferCache {
   void touch(PageId page) {
     auto it = map_.find(page);
     if (it == map_.end()) return;
-    lru_.move_to_tail(slab_, it->value);
+    lru_.move_to_tail(slab_, slab_index(it->value));
   }
 
   /// Give up the \p n coldest pages to the version overflow area (the paper:
@@ -100,6 +108,8 @@ class BufferCache {
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Slots in the page map (grows by rehashing; reserve() pre-sizes it).
+  [[nodiscard]] std::size_t map_slots() const { return map_.capacity(); }
 
   /// Entries examined across all evictions (the `db.lru_evict_scans` probe:
   /// it advances by exactly 1 per eviction).
@@ -110,12 +120,18 @@ class BufferCache {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Low bit of a map value: the page is held exclusively.
+  static constexpr std::uint32_t kExclusiveBit = 1;
+
+  [[nodiscard]] static std::uint32_t slab_index(std::uint32_t value) {
+    return value >> 1;
+  }
 
   struct Entry {
     PageId page = 0;
     std::uint32_t prev = kNil, next = kNil;  ///< recency list
-    PageMode mode = PageMode::kShared;
   };
+  static_assert(sizeof(Entry) == 16, "a slab entry is 16 bytes");
 
   /// The intrusive doubly-linked recency list through the slab.
   struct List {
@@ -163,23 +179,20 @@ class BufferCache {
     free_.push_back(idx);
   }
 
-  std::uint32_t alloc_entry(PageId page, PageMode mode) {
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      slab_[idx] = Entry{};
-    } else {
-      idx = static_cast<std::uint32_t>(slab_.size());
-      slab_.emplace_back();
+  std::uint32_t alloc_entry(PageId page) {
+    if (free_.empty()) {
+      slab_.push_back(Entry{page});
+      return static_cast<std::uint32_t>(slab_.size() - 1);
     }
-    slab_[idx].page = page;
-    slab_[idx].mode = mode;
+    const std::uint32_t idx = free_.back();
+    free_.pop_back();
+    slab_[idx] = Entry{page};
     return idx;
   }
 
   std::size_t capacity_;
-  sim::FlatMap<PageId, std::uint32_t> map_;  ///< page → slab index
+  /// page → slab index << 1 | exclusive bit
+  sim::FlatMap<PageId, std::uint32_t> map_;
   std::vector<Entry> slab_;
   std::vector<std::uint32_t> free_;
   List lru_;  ///< head = coldest resident
@@ -188,17 +201,19 @@ class BufferCache {
 
 inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) {
   EvictedList evicted;
+  const std::uint32_t exclusive =
+      mode == PageMode::kExclusive ? kExclusiveBit : 0;
   auto [it, inserted] = map_.try_emplace(page, 0);
   if (!inserted) {
     // Resident: one probe covers the hit — upgrade in place and re-rank.
-    const std::uint32_t idx = it->value;
-    if (mode == PageMode::kExclusive) slab_[idx].mode = PageMode::kExclusive;
-    lru_.move_to_tail(slab_, idx);
+    it->value |= exclusive;
+    lru_.move_to_tail(slab_, slab_index(it->value));
     return evicted;
   }
-  // Store the slab index while `it` is valid: the reserve below can rehash.
-  const std::uint32_t idx = alloc_entry(page, mode);
-  it->value = idx;
+  // Store the map value while `it` is valid: the reserve below can rehash.
+  const std::uint32_t idx = alloc_entry(page);
+  assert(idx <= slab_index(kNil));
+  it->value = idx << 1 | exclusive;
   // Grow with residency: twice the resident count keeps the map under 7/16
   // full, where nearly every lookup ends in its home group.
   if (map_.size() * 16 > map_.capacity() * 7) map_.reserve(2 * map_.size());

@@ -10,6 +10,7 @@
 /// the chain length and space pressure are what shape performance.
 
 #include <cstdint>
+#include <vector>
 
 #include "db/buffer_cache.hpp"
 #include "db/table.hpp"
@@ -28,8 +29,10 @@ class VersionManager {
 
   /// Record a new version of (page, subpage) of \p bytes at commit time \p ts.
   void create_version(PageId page, int subpage, Timestamp ts, sim::Bytes bytes) {
-    auto& chain = chains_[lock_name(page, subpage)];
+    const LockName name = lock_name(page, subpage);
+    auto& chain = chains_[name];
     chain.push_back(ts);
+    if (chain.size() == 2) multi_.push_back(name);
     in_use_ += bytes;
     while (in_use_ > capacity_) {
       // Steal an unpinned buffer page into the overflow area.
@@ -69,21 +72,22 @@ class VersionManager {
 
   /// Drop versions no active snapshot can see (keeps the newest of each
   /// chain). Returns bytes reclaimed; stolen cache pages are handed back.
+  /// Only a chain holding two or more versions can lose one, so the sweep
+  /// visits just those (`multi_`) and keeps the ones still above one; a
+  /// chain never empties, so none is erased.
   sim::Bytes gc(Timestamp min_active, sim::Bytes bytes_per_version) {
     sim::Bytes freed = 0;
-    for (auto it = chains_.begin(); it != chains_.end();) {
-      Chain& chain = it->value;
+    std::size_t kept = 0;
+    for (const LockName name : multi_) {
+      Chain& chain = chains_.find(name)->value;
       while (chain.size() > 1 && chain.front() < min_active &&
              chain[1] <= min_active) {
         chain.erase_at(0);
         freed += bytes_per_version;
       }
-      if (chain.empty()) {
-        it = chains_.erase(it);
-      } else {
-        ++it;
-      }
+      if (chain.size() > 1) multi_[kept++] = name;
     }
+    multi_.resize(kept);
     in_use_ -= std::min(freed, in_use_);
     while (pages_stolen_.count() > pages_returned_.count() &&
            capacity_ > kPageBytes &&
@@ -111,6 +115,8 @@ class VersionManager {
   sim::Bytes capacity_;
   BufferCache& cache_;
   sim::FlatMap<LockName, Chain> chains_;
+  /// Names of the chains holding two or more versions, each once.
+  std::vector<LockName> multi_;
   sim::Bytes in_use_ = 0;
   obs::Counter pages_stolen_;
   obs::Counter pages_returned_;

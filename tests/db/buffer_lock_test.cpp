@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "db/buffer_cache.hpp"
 #include "db/lock_manager.hpp"
 #include "db/log_manager.hpp"
@@ -52,9 +57,17 @@ TEST(BufferCache, StealForVersionsShrinksCapacity) {
 TEST(BufferCache, ReinsertExistingUpgradesMode) {
   BufferCache c(4);
   c.insert(pg(1), PageMode::kShared);
+  EXPECT_FALSE(c.contains(pg(1), PageMode::kExclusive));
   c.insert(pg(1), PageMode::kExclusive);
   EXPECT_TRUE(c.contains(pg(1), PageMode::kExclusive));
   EXPECT_EQ(c.size(), 1u);
+  c.insert(pg(1), PageMode::kShared);  // a shared hit never downgrades
+  EXPECT_TRUE(c.contains(pg(1), PageMode::kExclusive));
+  // Invalidation drops the bit with the entry: a shared reinsert is shared.
+  EXPECT_TRUE(c.invalidate(pg(1)));
+  c.insert(pg(1), PageMode::kShared);
+  EXPECT_TRUE(c.contains(pg(1), PageMode::kShared));
+  EXPECT_FALSE(c.contains(pg(1), PageMode::kExclusive));
 }
 
 TEST(BufferCache, EvictionCostBoundedWithPinnedColdFront) {
@@ -94,6 +107,47 @@ TEST(BufferCache, RehashKeepsEvictionOnTheRightPage) {
   for (std::size_t i = 0; i < kInserts; ++i) {
     EXPECT_EQ(c.resident(pg(i)), i >= kInserts - kCap) << i;
   }
+}
+
+TEST(BufferCache, StealAndInvalidateIfKeepSurvivorsModesAndOrder) {
+  BufferCache c(10);
+  auto exclusive = [](std::uint64_t i) { return i % 3 == 0; };
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    c.insert(pg(i), exclusive(i) ? PageMode::kExclusive : PageMode::kShared);
+  }
+  c.touch(pg(2));  // recency, coldest first: 0 1 3 4 5 6 7 8 9 2
+  auto stolen = c.steal_for_versions(2);
+  ASSERT_EQ(stolen.size(), 2u);
+  EXPECT_EQ(stolen[0], pg(0));
+  EXPECT_EQ(stolen[1], pg(1));
+  EXPECT_EQ(c.invalidate_if([](PageId p) { return p == pg(4) || p == pg(8); }),
+            2u);
+  const std::vector<std::uint64_t> survivors = {3, 5, 6, 7, 9, 2};
+  ASSERT_EQ(c.size(), survivors.size());
+  for (std::uint64_t i : survivors) {
+    EXPECT_TRUE(c.contains(pg(i), PageMode::kShared)) << i;
+    EXPECT_EQ(c.contains(pg(i), PageMode::kExclusive), exclusive(i)) << i;
+  }
+  auto rest = c.steal_for_versions(survivors.size());
+  ASSERT_EQ(rest.size(), survivors.size());
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    EXPECT_EQ(rest[k], pg(survivors[k])) << k;
+  }
+}
+
+TEST(BufferCache, ReserveSizesTheMapAsGrowthWouldWithoutRehashing) {
+  constexpr std::size_t kPages = 1000;
+  BufferCache reserved(100'000);
+  reserved.reserve(kPages);
+  const std::size_t slots = reserved.map_slots();
+  EXPECT_LE(kPages * 16, slots * 7);  // at most 7/16 full, insert's rule
+  BufferCache grown(100'000);
+  for (std::size_t i = 0; i < kPages; ++i) {
+    reserved.insert(pg(i), PageMode::kShared);
+    ASSERT_EQ(reserved.map_slots(), slots) << i;
+    grown.insert(pg(i), PageMode::kShared);
+  }
+  EXPECT_EQ(grown.map_slots(), slots);  // no larger than growth makes it
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +247,102 @@ TEST(VersionManager, GcReclaimsOldVersions) {
   EXPECT_GT(freed, 0);
   // The newest version must survive.
   EXPECT_EQ(vm.current_version(p, 0), 50u);
+}
+
+/// The version store as it was before GC kept a list of multi-version
+/// chains: every sweep walks every chain.
+struct FullScanVersions {
+  sim::Bytes capacity;
+  BufferCache& cache;
+  std::map<LockName, std::vector<Timestamp>> chains;
+  sim::Bytes in_use = 0;
+  std::uint64_t stolen = 0;
+  std::uint64_t returned = 0;
+
+  void create_version(PageId page, int subpage, Timestamp ts, sim::Bytes bytes) {
+    chains[lock_name(page, subpage)].push_back(ts);
+    in_use += bytes;
+    while (in_use > capacity) {
+      if (cache.steal_for_versions(1).empty()) break;
+      capacity += kPageBytes;
+      ++stolen;
+    }
+  }
+  sim::Bytes gc(Timestamp min_active, sim::Bytes bytes_per_version) {
+    sim::Bytes freed = 0;
+    for (auto& [name, chain] : chains) {
+      while (chain.size() > 1 && chain[0] < min_active && chain[1] <= min_active) {
+        chain.erase(chain.begin());
+        freed += bytes_per_version;
+      }
+    }
+    in_use -= std::min(freed, in_use);
+    while (stolen > returned && capacity > kPageBytes &&
+           in_use < capacity - 2 * kPageBytes) {
+      capacity -= kPageBytes;
+      cache.restore_capacity(1);
+      ++returned;
+    }
+    return freed;
+  }
+  [[nodiscard]] int chain_hops(LockName name, Timestamp snapshot) const {
+    const auto& chain = chains.at(name);
+    return static_cast<int>(std::count_if(
+        chain.begin(), chain.end(), [snapshot](Timestamp t) { return t > snapshot; }));
+  }
+};
+
+TEST(VersionManager, GcOverMultiVersionChainsMatchesAFullScan) {
+  constexpr std::uint64_t kPages = 24;
+  constexpr int kSubpages = 4;
+  constexpr sim::Bytes kVersionBytes = 512;
+  BufferCache cache(256);
+  BufferCache ref_cache(256);
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    cache.insert(pg(1000 + i), PageMode::kShared);
+    ref_cache.insert(pg(1000 + i), PageMode::kShared);
+  }
+  VersionManager vm(4 * kPageBytes, cache);
+  FullScanVersions ref{4 * kPageBytes, ref_cache, {}};
+  std::mt19937_64 rng(20240607);
+  Timestamp ts = 1;
+  std::uint64_t returned_before = 0;
+  bool returned_some = false;
+  for (int op = 0; op < 20'000; ++op) {
+    const PageId page = pg(rng() % kPages);
+    const int sub = static_cast<int>(rng() % kSubpages);
+    vm.create_version(page, sub, ts, kVersionBytes);
+    ref.create_version(page, sub, ts, kVersionBytes);
+    ++ts;
+    const Timestamp snapshot = ts - rng() % 200;
+    ASSERT_EQ(vm.chain_hops(page, sub, snapshot),
+              ref.chain_hops(lock_name(page, sub), snapshot)) << op;
+    if (rng() % 64 != 0) continue;
+    const Timestamp min_active = ts - rng() % 300;
+    ASSERT_EQ(vm.gc(min_active, kVersionBytes), ref.gc(min_active, kVersionBytes))
+        << op;
+    ASSERT_EQ(vm.capacity(), ref.capacity) << op;
+    ASSERT_EQ(vm.cache_pages_stolen(), ref.stolen) << op;
+    ASSERT_EQ(cache.capacity(), ref_cache.capacity()) << op;
+    returned_some = returned_some || ref.returned > returned_before;
+    returned_before = ref.returned;
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+      for (int s = 0; s < kSubpages; ++s) {
+        const LockName name = lock_name(pg(p), s);
+        if (ref.chains.count(name) == 0) {
+          EXPECT_EQ(vm.current_version(pg(p), s), 0u);
+          continue;
+        }
+        EXPECT_EQ(vm.current_version(pg(p), s), ref.chains[name].back());
+        EXPECT_EQ(vm.chain_hops(pg(p), s, min_active),
+                  ref.chain_hops(name, min_active));
+        EXPECT_EQ(vm.chain_hops(pg(p), s, 0), ref.chain_hops(name, 0));
+      }
+    }
+  }
+  // The sequence exercised both directions of the overflow area.
+  EXPECT_GT(ref.stolen, 0u);
+  EXPECT_TRUE(returned_some);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "cluster/partition.hpp"
 #include "core/experiment.hpp"
 
 namespace dclue::core {
@@ -239,6 +244,94 @@ TEST(ClusterIntegration, LockActivityObservedUnderContention) {
   RunReport r = run_experiment(cfg);
   EXPECT_GT(r.txns, 0.0);
   EXPECT_GT(r.lock_waits_per_txn + r.lock_failures_per_txn, 0.0);
+}
+
+/// Every page prewarm considers, in its order: tables hottest first, each
+/// table's data pages and then its index leaf pages.
+template <typename Fn>
+void for_each_prewarm_page(const db::TpccDatabase& db, Fn fn) {
+  auto table_pages = [&fn](const auto& table) {
+    table.for_each_data_page(fn);
+    table.for_each_index_page(fn);
+  };
+  table_pages(db.warehouse);
+  table_pages(db.district);
+  table_pages(db.item);
+  table_pages(db.stock);
+  table_pages(db.new_order);
+  table_pages(db.order);
+  table_pages(db.order_line);
+  table_pages(db.customer);
+  if (db.ycsb) table_pages(*db.ycsb);
+}
+
+TEST(Prewarm, SingleNodeStopsAtNinetyPercentOfCapacity) {
+  Cluster cluster(tiny(1, 1.0));
+  cluster.prewarm();
+  db::BufferCache& cache = cluster.node(0).cache();
+  cluster::DirectoryService& dir = cluster.node(0).directory();
+  std::size_t cutoff = 0;  // ⌈0.9·capacity⌉
+  while (cutoff * 10 < cache.capacity() * 9) ++cutoff;
+  std::size_t pages = 0;
+  for_each_prewarm_page(cluster.database(), [&](db::PageId) { ++pages; });
+  ASSERT_GT(pages, cutoff);  // the cutoff binds
+  EXPECT_EQ(cache.size(), cutoff);
+  EXPECT_EQ(dir.entries(), cutoff);
+  // The warm pages are the first `cutoff`, each held by its home alone.
+  std::size_t i = 0;
+  for_each_prewarm_page(cluster.database(), [&](db::PageId page) {
+    const bool warm = i++ < cutoff;
+    ASSERT_EQ(cache.resident(page), warm) << i;
+    if (!warm) return;
+    ASSERT_EQ(dir.holder_count(page), 1) << i;
+    ASSERT_EQ(dir.lookup(page, 1, false).supplier, 0) << i;
+  });
+}
+
+TEST(Prewarm, EachNodeHoldsExactlyThePagesItHomesInOrder) {
+  constexpr int kNodes = 3;
+  Cluster cluster(tiny(kNodes, 1.0));
+  cluster.prewarm();
+  const cluster::PartitionMap pm(cluster.database(), kNodes);
+  std::vector<std::vector<db::PageId>> homed(kNodes);
+  for_each_prewarm_page(cluster.database(), [&](db::PageId page) {
+    const int home = pm.home_of_page(page);
+    homed[static_cast<std::size_t>(home)].push_back(page);
+    for (int n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(cluster.node(n).cache().resident(page), n == home) << n;
+    }
+    cluster::DirectoryService& dir = cluster.node(home).directory();
+    ASSERT_EQ(dir.holder_count(page), 1);
+    ASSERT_EQ(dir.lookup(page, (home + 1) % kNodes, false).supplier, home);
+  });
+  for (int n = 0; n < kNodes; ++n) {
+    const auto& pages = homed[static_cast<std::size_t>(n)];
+    db::BufferCache& cache = cluster.node(n).cache();
+    ASSERT_GT(pages.size(), 0u);
+    EXPECT_EQ(cache.size(), pages.size());
+    EXPECT_EQ(cluster.node(n).directory().entries(), pages.size());
+    // Recency order is insert order: the coldest pages come out first.
+    auto coldest = cache.steal_for_versions(4);
+    ASSERT_EQ(coldest.size(), 4u);
+    for (std::size_t k = 0; k < coldest.size(); ++k) {
+      EXPECT_EQ(coldest[k], pages[k]) << n << " " << k;
+    }
+  }
+}
+
+TEST(ClusterIntegration, RejectsMoreNodesThanHolderIdsHold) {
+  // Checked before anything is built. plan_shards would reject this config
+  // too (shards with affinity below 1), with another message.
+  ClusterConfig cfg = tiny(1, 0.5);
+  cfg.nodes = cluster::DirectoryService::kMaxNodes + 1;
+  cfg.shards = 1;
+  try {
+    Cluster cluster(cfg);
+    FAIL() << "a 32768-node cluster was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("32767"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
